@@ -266,28 +266,47 @@ class ForwardCache:
     spec: ModelSpec
     mode: str
     batch_size: int
-    records: list  # (name, desc, layer-specific cache)
+    records: list  # (name, desc, layer-specific cache); empty in eval mode
     logits: np.ndarray
     params: ParamSet
 
 
+@lru_cache(maxsize=32)
+def _im2col_offsets(c: int, h: int, w: int, k: int) -> np.ndarray:
+    """Flat offsets into one (c, h, w) sample of its im2col rows, in row order."""
+    sample = np.arange(c * h * w).reshape(1, c, h, w)
+    win = np.lib.stride_tricks.sliding_window_view(sample, (k, k), axis=(2, 3))
+    offsets = win.transpose(0, 2, 3, 1, 4, 5).ravel()
+    offsets.setflags(write=False)  # shared by every caller through the cache
+    return offsets
+
+
 def _conv_forward(x, w, b):
+    """Valid convolution as one matmul over C-order im2col columns.
+
+    The columns are gathered per sample through cached offsets, one pass
+    instead of a strided copy in runs of k elements. They keep the C order,
+    since BLAS's small-matrix kernels round a transposed operand differently.
+    """
     n, c, h, width = x.shape
     o, _, k, _ = w.shape
     oh, ow = h - k + 1, width - k + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * k * k)
+    offsets = _im2col_offsets(c, h, width, k)
+    cols = np.take(x.reshape(n, c * h * width), offsets, axis=1).reshape(n * oh * ow, c * k * k)
     y = cols @ w.reshape(o, -1).T + b
     return np.ascontiguousarray(y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)), cols
 
 
-def _conv_backward(dy, cols, w, x_shape):
+def _conv_backward(dy, cols, w, x_shape, input_grad=True):
+    """Weight and bias gradients, and the input gradient when `input_grad`."""
     n, c, h, width = x_shape
     o, _, k, _ = w.shape
     oh, ow = h - k + 1, width - k + 1
     dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
     dw = (dy_mat.T @ cols).reshape(o, c, k, k)
     db = dy_mat.sum(axis=0)
+    if not input_grad:
+        return None, dw, db
     dcols = (dy_mat @ w.reshape(o, -1)).reshape(n, oh, ow, c, k, k)
     dx = np.zeros(x_shape, dtype=dy.dtype)
     for i in range(k):
@@ -333,31 +352,53 @@ def _bn_backward(dy, cache):
     return dx, dscale, dshift
 
 
+def _as_bits(a):
+    """The same memory as unsigned integers of the element width."""
+    return a.view(np.dtype(f"u{a.dtype.itemsize}"))
+
+
 def _pool_forward(x, window):
+    """Window maxima and the flat in-window index of each one.
+
+    The taps are strided views of `x`, walked in row-major window order. A
+    later tap wins only where it is strictly greater, or is the first NaN,
+    which is argmax's first-max rule. The winner's bits are copied with a
+    branch-free select, so `y` holds the exact input value.
+    """
     n, c, h, w = x.shape
-    oh, ow = h // window, w // window
-    xr = x.reshape(n, c, oh, window, ow, window)
-    flat = np.ascontiguousarray(xr.transpose(0, 1, 2, 4, 3, 5)).reshape(n, c, oh, ow, -1)
-    idx = flat.argmax(axis=-1)  # first max wins: deterministic tie-break
-    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    xr = x.reshape(n, c, h // window, window, w // window, window)
+    y = xr[:, :, :, 0, :, 0].copy()
+    idx = np.zeros(y.shape, dtype=np.intp)
+    y_bits, x_bits = _as_bits(y), _as_bits(xr)
+    for t in range(1, window * window):
+        a, b = divmod(t, window)
+        take = ~(xr[:, :, :, a, :, b] <= y) & (y == y)
+        # -take is all ones where the tap wins, so the xor swaps in its bits there
+        y_bits ^= (y_bits ^ x_bits[:, :, :, a, :, b]) & -take.astype(y_bits.dtype)
+        np.maximum(idx, take * t, out=idx)  # t exceeds every earlier index
     return y, idx
 
 
 def _pool_backward(dy, idx, window, x_shape):
+    """Route each window's gradient to its max, tap by tap; other entries get +0."""
     n, c, h, w = x_shape
-    oh, ow = h // window, w // window
-    dflat = np.zeros((n, c, oh, ow, window * window), dtype=dy.dtype)
-    np.put_along_axis(dflat, idx[..., None], dy[..., None], axis=-1)
-    dxr = dflat.reshape(n, c, oh, ow, window, window).transpose(0, 1, 2, 4, 3, 5)
-    return np.ascontiguousarray(dxr).reshape(x_shape)
+    dx = np.empty(x_shape, dtype=dy.dtype)
+    dx_bits = _as_bits(dx).reshape(n, c, h // window, window, w // window, window)
+    dy_bits = _as_bits(dy)
+    for t in range(window * window):
+        a, b = divmod(t, window)
+        keep = -(idx == t).astype(dy_bits.dtype)
+        np.bitwise_and(dy_bits, keep, out=dx_bits[:, :, :, a, :, b])
+    return dx
 
 
 def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
     """Run the network on a (N,C,H,W) batch.
 
     In train mode batch-norm layers use batch statistics and update the running
-    statistics stored in `params` in place; eval mode is a pure function.
-    Returns (logits, cache) where the cache feeds `backward`.
+    statistics stored in `params` in place, and the cache records what
+    `backward` needs. Eval mode is a pure function and records nothing.
+    Returns (logits, cache).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -368,6 +409,7 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
         )
     x = batch
     records = []
+    keep = records.append if mode == "train" else (lambda record: None)
     for name, desc, in_shape, _ in layers:
         if isinstance(desc, Conv):
             w = params[(name, ROLE_WEIGHT)]
@@ -375,27 +417,31 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
             bn_cache = None
             if desc.batch_norm:
                 y, bn_cache = _bn_forward(y, params, name, mode)
-            records.append((name, desc, (x.shape, cols, bn_cache)))
+            keep((name, desc, (x.shape, cols, bn_cache)))
             x = y
         elif isinstance(desc, MaxPool):
             y, idx = _pool_forward(x, desc.window)
-            records.append((name, desc, (x.shape, idx)))
+            keep((name, desc, (x.shape, idx)))
             x = y
         elif isinstance(desc, Relu):
             mask = x > 0
-            records.append((name, desc, mask))
+            keep((name, desc, mask))
             x = x * mask
         elif isinstance(desc, Flatten):
-            records.append((name, desc, x.shape))
+            keep((name, desc, x.shape))
             x = x.reshape(x.shape[0], -1)
         elif isinstance(desc, Dense):
-            records.append((name, desc, x))
+            keep((name, desc, x))
             x = x @ params[(name, ROLE_WEIGHT)].T + params[(name, ROLE_BIAS)]
     return x, ForwardCache(spec, mode, batch.shape[0], records, x, params)
 
 
 def backward(cache: ForwardCache, labels: np.ndarray):
-    """Mean softmax cross-entropy loss and gradients for a train-mode cache."""
+    """Mean softmax cross-entropy loss and gradients for a train-mode cache.
+
+    The walk stops at the lowest layer with parameters: no input gradient is
+    formed below it.
+    """
     if cache.mode != "train":
         raise ValueError("backward requires a cache from a train-mode forward")
     logits = cache.logits
@@ -418,13 +464,21 @@ def backward(cache: ForwardCache, labels: np.ndarray):
     dx[np.arange(n), labels] -= 1
     dx /= n
 
+    records = cache.records
+    lowest = next(
+        (i for i, (_, desc, _) in enumerate(records) if isinstance(desc, (Conv, Dense))),
+        len(records),
+    )
     collected: dict[tuple[str, str], np.ndarray] = {}
-    for name, desc, rec in reversed(cache.records):
+    for i in range(len(records) - 1, lowest - 1, -1):
+        name, desc, rec = records[i]
+        input_grad = i > lowest
         if isinstance(desc, Dense):
             x_in = rec
             collected[(name, ROLE_WEIGHT)] = dx.T @ x_in
             collected[(name, ROLE_BIAS)] = dx.sum(axis=0)
-            dx = dx @ params[(name, ROLE_WEIGHT)]
+            if input_grad:
+                dx = dx @ params[(name, ROLE_WEIGHT)]
         elif isinstance(desc, Flatten):
             dx = dx.reshape(rec)
         elif isinstance(desc, Relu):
@@ -438,7 +492,9 @@ def backward(cache: ForwardCache, labels: np.ndarray):
                 dx, dscale, dshift = _bn_backward(dx, bn_cache)
                 collected[(name, ROLE_BN_SCALE)] = dscale
                 collected[(name, ROLE_BN_SHIFT)] = dshift
-            dx, dw, db = _conv_backward(dx, cols, params[(name, ROLE_WEIGHT)], x_shape)
+            dx, dw, db = _conv_backward(
+                dx, cols, params[(name, ROLE_WEIGHT)], x_shape, input_grad
+            )
             collected[(name, ROLE_WEIGHT)] = dw
             collected[(name, ROLE_BIAS)] = db
     # grads keep param order; running stats carry zero grads (not learnable)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +68,6 @@ class ClientState:
     mask: SparsityMask
     schedule: PruneSchedule
     optimizer: OptimizerState
-    theta0: ParamSet | None = None  # common init, carried through the protocol unused
-    accuracy_history: list = field(default_factory=list)
 
 
 @dataclass
@@ -122,7 +120,6 @@ def make_client(
         mask=mask,
         schedule=schedule,
         optimizer=OptimizerState(learning_rate, momentum),
-        theta0=theta0.copy(),
     )
 
 
@@ -177,7 +174,7 @@ def client_update(
     mask, train `epochs` epochs of masked SGD, derive candidate masks after the
     first and last epoch, and prune when the accuracy/target/drift gates pass.
 
-    Mutates the ClientState (params, mask, schedule, history) and returns the
+    Mutates the ClientState (params, mask, schedule) and returns the
     result the client would upload.
     """
     if kind not in ("unstructured", "hybrid"):
@@ -235,7 +232,6 @@ def client_update(
 
     local_acc = evaluate_accuracy(spec, params, client.x_eval, client.y_eval)
     client.params = params
-    client.accuracy_history.append((round_index, val_acc, local_acc))
 
     mask_changed = pruned_us or pruned_s
     uplink_bits = 0

@@ -1,4 +1,5 @@
-"""Shared test utilities: tiny specs, finite-difference oracle, random masks."""
+"""Shared test utilities: tiny specs, finite-difference oracle, random masks,
+reference kernels."""
 
 from __future__ import annotations
 
@@ -120,3 +121,74 @@ def train_briefly(spec, params, x, y, epochs=8, batch_size=16, lr=0.05, seed=0):
             _, grads = E.backward(cache, y[idx])
             E.sgd_step(params, grads, opt)
     return params
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: the plain im2col / argmax formulations the engine's
+# kernels must match bit for bit
+# ---------------------------------------------------------------------------
+
+
+def reference_conv_forward(x, w, b):
+    n, c, h, width = x.shape
+    o, _, k, _ = w.shape
+    oh, ow = h - k + 1, width - k + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * oh * ow, c * k * k)
+    y = cols @ w.reshape(o, -1).T + b
+    return np.ascontiguousarray(y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)), cols
+
+
+def reference_conv_backward(dy, cols, w, x_shape):
+    n, c, h, width = x_shape
+    o, _, k, _ = w.shape
+    oh, ow = h - k + 1, width - k + 1
+    dy_mat = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
+    dw = (dy_mat.T @ cols).reshape(o, c, k, k)
+    db = dy_mat.sum(axis=0)
+    dcols = (dy_mat @ w.reshape(o, -1)).reshape(n, oh, ow, c, k, k)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return dx, dw, db
+
+
+def reference_pool_forward(x, window):
+    n, c, h, w = x.shape
+    oh, ow = h // window, w // window
+    xr = x.reshape(n, c, oh, window, ow, window)
+    flat = np.ascontiguousarray(xr.transpose(0, 1, 2, 4, 3, 5)).reshape(n, c, oh, ow, -1)
+    idx = flat.argmax(axis=-1)  # first max wins: deterministic tie-break
+    y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    return y, idx
+
+
+def reference_pool_backward(dy, idx, window, x_shape):
+    n, c, h, w = x_shape
+    oh, ow = h // window, w // window
+    dflat = np.zeros((n, c, oh, ow, window * window), dtype=dy.dtype)
+    np.put_along_axis(dflat, idx[..., None], dy[..., None], axis=-1)
+    dxr = dflat.reshape(n, c, oh, ow, window, window).transpose(0, 1, 2, 4, 3, 5)
+    return np.ascontiguousarray(dxr).reshape(x_shape)
+
+
+def use_reference_kernels(monkeypatch) -> None:
+    """Swap the reference kernels into the engine for the rest of a test.
+
+    The reference conv backward always forms the input gradient; `backward`
+    drops it at the lowest parameter layer.
+    """
+    monkeypatch.setattr(E, "_conv_forward", reference_conv_forward)
+    monkeypatch.setattr(
+        E, "_conv_backward",
+        lambda dy, cols, w, x_shape, input_grad=True: reference_conv_backward(dy, cols, w, x_shape),
+    )
+    monkeypatch.setattr(E, "_pool_forward", reference_pool_forward)
+    monkeypatch.setattr(E, "_pool_backward", reference_pool_backward)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: tells -0.0 from 0.0 and matches NaN payloads."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
