@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +15,7 @@ from .config import (
     ALGORITHM_CHOICES,
     DATASETS,
     ConfigError,
+    ExperimentConfig,
     parse_config,
 )
 from .engine import builtin_spec
@@ -58,18 +59,11 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quiet", action="store_true")
 
 
-_OVERRIDE_KEYS = (
-    "algorithm", "dataset", "data_root", "model", "rounds", "clients", "sampling_rate",
-    "local_epochs", "batch_size", "learning_rate", "momentum", "rate_unstructured",
-    "rate_structured", "target_unstructured", "target_structured", "eps_unstructured",
-    "eps_structured", "acc_threshold", "aggregation", "shard_size", "shards_per_client",
-    "seed", "output_dir", "parallelism", "synth_classes", "synth_per_class",
-    "synth_test_per_class", "synth_separation",
-)
-
-
-def _config_from_args(args) -> "ExperimentConfig":
-    overrides = {k: getattr(args, k) for k in _OVERRIDE_KEYS}
+def _config_from_args(args) -> ExperimentConfig:
+    """Every parsed option named after a config field overrides it (options
+    left unset are None and do not)."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in names}
     return parse_config(args.config, overrides)
 
 
@@ -198,8 +192,6 @@ def main(argv=None) -> int:
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
-        if "--debug" in (argv or sys.argv):
-            traceback.print_exc()
         return EXIT_RUNTIME
 
 

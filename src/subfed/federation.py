@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .engine import (
-    LEARNABLE_ROLES,
     ModelSpec,
     OptimizerState,
     ParamSet,
@@ -126,15 +125,7 @@ def make_client(
 def retained_scalar_count(params: ParamSet, mask: SparsityMask) -> int:
     """Scalars a client exchanges: kept learnables plus running statistics of
     kept channels."""
-    total = 0
-    for key, value in params.items():
-        if key[1] in LEARNABLE_ROLES:
-            total += int(mask.bits[key].sum())
-        elif mask.channel_keep is not None and key[0] in mask.channel_keep:
-            total += int(mask.channel_keep[key[0]].sum())
-        else:
-            total += value.size
-    return total
+    return sum(int(mask.keep(key, value.shape).sum()) for key, value in params.items())
 
 
 def sample_clients(server: ServerState, round_index: int) -> list[int]:
@@ -254,38 +245,16 @@ def client_update(
     )
 
 
-def client_update_unstructured(client, theta_g, epochs, batch_size, *, rng,
-                               round_index=0, exchange=True) -> ClientUpdateResult:
-    return client_update(
-        client, theta_g, epochs, batch_size,
-        rng=rng, round_index=round_index, kind="unstructured", exchange=exchange,
-    )
-
-
-def client_update_hybrid(client, theta_g, epochs, batch_size, *, rng,
-                         round_index=0, exchange=True) -> ClientUpdateResult:
-    return client_update(
-        client, theta_g, epochs, batch_size,
-        rng=rng, round_index=round_index, kind="hybrid", exchange=exchange,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
 
 
-def _keep_array(result: ClientUpdateResult, key, shape) -> np.ndarray:
-    mask = result.mask
-    if key[1] in LEARNABLE_ROLES:
-        return mask.bits[key]
-    if mask.channel_keep is not None and key[0] in mask.channel_keep:
-        return mask.channel_keep[key[0]]
-    return np.ones(shape, dtype=bool)
-
-
-def _fold_mean(results, template: ParamSet, keeper, fallback: ParamSet | None,
+def _fold_mean(results, template: ParamSet, fallback: ParamSet | None,
                strict: bool) -> ParamSet:
+    """Per position, the mean over the results whose mask keeps it. Without
+    a fallback (fedavg) every position counts as kept; with one, positions
+    kept by too few clients (none, or not all when `strict`) keep its value."""
     rs = sorted(results, key=lambda r: r.client_id)
     for r in rs:
         if not r.params.congruent_with(template):
@@ -296,7 +265,7 @@ def _fold_mean(results, template: ParamSet, keeper, fallback: ParamSet | None,
         acc = np.zeros(ref.shape, dtype=np.float64)
         cnt = np.zeros(ref.shape, dtype=np.int64)
         for r in rs:  # ascending client-id: summation order is fixed
-            keep = keeper(r, key, ref.shape)
+            keep = True if fallback is None else r.mask.keep(key, ref.shape)
             acc += r.params[key] * keep
             cnt += keep
         mean = (acc / np.maximum(cnt, 1)).astype(ref.dtype)
@@ -320,7 +289,7 @@ def aggregate_sub_fedavg(results, theta_g_prev: ParamSet,
     if mode not in ("per-position", "strict-intersection"):
         raise ValueError(f"unknown aggregation mode {mode!r}")
     return _fold_mean(
-        results, theta_g_prev, _keep_array, theta_g_prev, strict=(mode == "strict-intersection")
+        results, theta_g_prev, theta_g_prev, strict=(mode == "strict-intersection")
     )
 
 
@@ -328,11 +297,7 @@ def aggregate_fedavg(results) -> ParamSet:
     """Uniform elementwise mean over the selected clients (equal shard volumes)."""
     if not results:
         raise ValueError("aggregate_fedavg needs at least one client result")
-
-    def keeper(_result, _key, shape):
-        return np.ones(shape, dtype=bool)
-
-    return _fold_mean(results, results[0].params, keeper, None, strict=False)
+    return _fold_mean(results, results[0].params, None, strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +321,11 @@ class ClientRoundRecord:
     uplink_bits: int
     downlink_bits: int
     conv_flops: int
+
+    def to_json_dict(self) -> dict:
+        row = asdict(self)
+        row["id"] = row.pop("client_id")  # the key rounds.ndjson has always used
+        return row
 
 
 @dataclass
@@ -412,25 +382,7 @@ class RoundReport:
             "total_uplink_bits": self.total_uplink_bits,
             "total_downlink_bits": self.total_downlink_bits,
             "total_conv_flops": self.total_conv_flops,
-            "clients": [
-                {
-                    "id": c.client_id,
-                    "validation_accuracy": c.validation_accuracy,
-                    "local_accuracy": c.local_accuracy,
-                    "served_accuracy": c.served_accuracy,
-                    "sparsity": c.sparsity,
-                    "sparsity_unstructured": c.sparsity_unstructured,
-                    "sparsity_channel": c.sparsity_channel,
-                    "delta_unstructured": c.delta_unstructured,
-                    "delta_structured": c.delta_structured,
-                    "pruned_unstructured": c.pruned_unstructured,
-                    "pruned_structured": c.pruned_structured,
-                    "uplink_bits": c.uplink_bits,
-                    "downlink_bits": c.downlink_bits,
-                    "conv_flops": c.conv_flops,
-                }
-                for c in self.clients
-            ],
+            "clients": [c.to_json_dict() for c in self.clients],
         }
 
 

@@ -1,4 +1,4 @@
-"""Communication-cost accounting, conv FLOP counting, and accuracy summaries."""
+"""Communication-cost accounting and conv FLOP counting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import Conv, ModelSpec, walk_shapes
-from .pruning import SparsityMask
 
 BITS_PER_SCALAR = 32
 BITS_PER_MASK_POSITION = 1
@@ -69,40 +68,6 @@ def conv_flops(spec: ModelSpec, keep_sets: dict[str, np.ndarray] | None = None) 
         current_total += current
         prev_kept = kept_out
     return FlopProfile(per_layer, dense_total, current_total)
-
-
-def param_reduction(mask: SparsityMask) -> float:
-    """Zeroed fraction of the dense learnable parameter count."""
-    return mask.sparsity()
-
-
-@dataclass
-class AccuracySummary:
-    final_round: int
-    mean: float
-    minimum: float
-    maximum: float
-    mean_served: float
-    curve: list[tuple[int, float, float]]  # (round, mean local, mean served)
-
-
-def accuracy_summary(reports) -> AccuracySummary:
-    """Final-round client accuracy statistics plus the accuracy-vs-round curve."""
-    reports = list(reports)
-    if not reports:
-        raise ValueError("accuracy_summary needs at least one round report")
-    last = reports[-1]
-    locals_ = [c.local_accuracy for c in last.clients]
-    return AccuracySummary(
-        final_round=last.round_index,
-        mean=float(np.mean(locals_)),
-        minimum=float(np.min(locals_)),
-        maximum=float(np.max(locals_)),
-        mean_served=float(np.mean([c.served_accuracy for c in last.clients])),
-        curve=[
-            (r.round_index, r.mean_local_accuracy, r.mean_served_accuracy) for r in reports
-        ],
-    )
 
 
 @dataclass

@@ -4,11 +4,12 @@ A SparsityMask carries a bitmap for every learnable tensor plus an optional
 per-conv-layer channel keep-set. The unstructured part governs only the
 `covered` entries; channel removal propagates zeros over the channel's filter,
 bias, BN scale/shift and the next conv layer's matching input slices.
+`SparsityMask.keep` is the one rule for which positions of any tensor a
+client keeps; masking, exchange counting and aggregation all read it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -31,32 +32,22 @@ class MaskCongruenceError(ValueError):
     """Masks/params with mismatched entries or shapes."""
 
 
-class MaskFormatError(ValueError):
-    """Unreadable serialized mask."""
-
-
 @dataclass
 class SparsityMask:
     bits: dict[Key, np.ndarray]              # bool, one per learnable entry
     covered: tuple[Key, ...]                 # entries governed by the unstructured part
     channel_keep: dict[str, np.ndarray] | None = None  # conv layer -> bool per out-channel
 
-    def congruent_with(self, other: "SparsityMask") -> bool:
-        if list(self.bits.keys()) != list(other.bits.keys()):
-            return False
-        if any(self.bits[k].shape != other.bits[k].shape for k in self.bits):
-            return False
-        if (self.channel_keep is None) != (other.channel_keep is None):
-            return False
-        if self.channel_keep is not None:
-            if list(self.channel_keep.keys()) != list(other.channel_keep.keys()):
-                return False
-            if any(
-                self.channel_keep[n].shape != other.channel_keep[n].shape
-                for n in self.channel_keep
-            ):
-                return False
-        return True
+    def keep(self, key: Key, shape: tuple[int, ...]) -> np.ndarray:
+        """Bool array, broadcastable to `shape`, of the positions of tensor
+        `key` this mask keeps: the bitmap of a learnable tensor, the channel
+        keep-set for a running statistic of a channel-masked conv layer, and
+        every position of any other tensor."""
+        if key[1] in LEARNABLE_ROLES:
+            return self.bits[key]
+        if self.channel_keep is not None and key[0] in self.channel_keep:
+            return self.channel_keep[key[0]]
+        return np.ones(shape, dtype=bool)
 
     def bit_length(self) -> int:
         return sum(b.size for b in self.bits.values())
@@ -316,14 +307,11 @@ def apply_mask(params: ParamSet, mask: SparsityMask) -> ParamSet:
     statistics) become exactly 0. Returns a new ParamSet."""
     entries = {}
     for key, value in params.items():
-        if key[1] in LEARNABLE_ROLES:
-            if key not in mask.bits or mask.bits[key].shape != value.shape:
-                raise MaskCongruenceError(f"mask incongruent with params at {key}")
-            entries[key] = value * mask.bits[key]
-        elif mask.channel_keep is not None and key[0] in mask.channel_keep:
-            entries[key] = value * mask.channel_keep[key[0]]
-        else:
-            entries[key] = value.copy()
+        if key[1] in LEARNABLE_ROLES and (
+            key not in mask.bits or mask.bits[key].shape != value.shape
+        ):
+            raise MaskCongruenceError(f"mask incongruent with params at {key}")
+        entries[key] = value * mask.keep(key, value.shape)
     return ParamSet(entries)
 
 
@@ -388,56 +376,3 @@ def should_prune(accuracy: float, schedule: PruneSchedule, delta: float, kind: s
 def advance_schedule(schedule: PruneSchedule, kind: str) -> PruneSchedule:
     new_level = min(schedule.level(kind) + schedule.rate(kind), schedule.target(kind))
     return replace(schedule, **{f"level_{kind}": new_level})
-
-
-# ---------------------------------------------------------------------------
-# Wire format
-# ---------------------------------------------------------------------------
-
-
-def serialize_mask(mask: SparsityMask) -> bytes:
-    """Header (layer-name, role, bit-length) + little-endian packed bitmaps."""
-    header = {
-        "entries": [[k[0], k[1], int(v.size)] for k, v in mask.bits.items()],
-        "covered": [[k[0], k[1]] for k in mask.covered],
-        "channels": None
-        if mask.channel_keep is None
-        else {n: [int(b) for b in v] for n, v in mask.channel_keep.items()},
-    }
-    head = json.dumps(header, sort_keys=True).encode()
-    flat = np.concatenate([v.ravel() for v in mask.bits.values()]).astype(np.uint8)
-    payload = np.packbits(flat, bitorder="little").tobytes()
-    return len(head).to_bytes(4, "little") + head + payload
-
-
-def deserialize_mask(blob: bytes, params: ParamSet) -> SparsityMask:
-    """Rebuild a mask against a congruent ParamSet (shapes come from the params)."""
-    if len(blob) < 4:
-        raise MaskFormatError("mask blob shorter than its header length field")
-    head_len = int.from_bytes(blob[:4], "little")
-    if len(blob) < 4 + head_len:
-        raise MaskFormatError("mask blob truncated inside the header")
-    try:
-        header = json.loads(blob[4:4 + head_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MaskFormatError(f"unreadable mask header: {exc}") from exc
-    total = sum(int(n) for _, _, n in header["entries"])
-    unpacked = np.unpackbits(
-        np.frombuffer(blob[4 + head_len:], dtype=np.uint8), bitorder="little"
-    )
-    if unpacked.size < total:
-        raise MaskFormatError(f"mask payload holds {unpacked.size} bits, header says {total}")
-    bits = {}
-    offset = 0
-    for layer, role, size in header["entries"]:
-        key = (layer, role)
-        if key not in params or params[key].size != size:
-            raise MaskCongruenceError(f"serialized mask incongruent with params at {key}")
-        bits[key] = unpacked[offset:offset + size].astype(bool).reshape(params[key].shape)
-        offset += size
-    covered = tuple((layer, role) for layer, role in header["covered"])
-    channels = header["channels"]
-    keep = None
-    if channels is not None:
-        keep = {layer: np.array(vals, dtype=bool) for layer, vals in channels.items()}
-    return SparsityMask(bits, covered, keep)

@@ -7,7 +7,6 @@ import numpy as np
 
 from subfed import engine as E
 from subfed.engine import ModelSpec, ParamSet
-from subfed.pruning import SparsityMask, full_coverage
 
 
 def tiny_dense_spec(in_features: int = 8, classes: int = 3) -> ModelSpec:
@@ -97,17 +96,6 @@ def finite_difference_grads(spec: ModelSpec, params: ParamSet, x: np.ndarray,
         fd_entries[key] = fd
         smooth_entries[key] = smooth
     return ParamSet(fd_entries), ParamSet(smooth_entries)
-
-
-def random_params_and_mask(rng: np.random.Generator, n_entries: int = 2,
-                           max_size: int = 8) -> tuple[ParamSet, SparsityMask]:
-    entries = {}
-    for i in range(n_entries):
-        size = int(rng.integers(1, max_size + 1))
-        entries[(f"fc{i + 1}", "weight")] = rng.normal(size=size).astype(np.float32)
-    params = ParamSet(entries)
-    bits = {k: rng.integers(0, 2, size=v.shape).astype(bool) for k, v in params.items()}
-    return params, SparsityMask(bits, full_coverage(params), None)
 
 
 def train_briefly(spec, params, x, y, epochs=8, batch_size=16, lr=0.05, seed=0):

@@ -1,10 +1,12 @@
+import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from subfed.cli import main
-from subfed.config import parse_config
+from subfed.cli import _add_run_flags, _config_from_args, build_parser, main
+from subfed.config import DATA_ROOT_ENV, ExperimentConfig, parse_config
 from subfed.experiment import compare_runs, run_experiment
 
 TINY = [
@@ -172,3 +174,41 @@ class TestReductionEquivalence:
             return "\n".join(rows)
 
         assert normalized(tmp_path / "a") == normalized(tmp_path / "b")
+
+
+class TestRunFlags:
+    """Every `run` option is a config override: a flag whose dest is not a
+    config field, or whose value does not reach the config, fails here."""
+
+    # values for the free-text fields; other fields derive theirs from the default
+    TEXT_VALUES = {"data_root": "elsewhere", "model": "lenet5-cifar", "output_dir": "out"}
+
+    def run_options(self):
+        p = argparse.ArgumentParser()
+        _add_run_flags(p)
+        return [a for a in p._actions if a.dest not in ("help", "config", "quiet")]
+
+    def non_default(self, action, default):
+        if action.choices:
+            return next(c for c in action.choices if c != default)
+        if action.type is int:
+            return default + 1
+        if action.type is float:
+            return default / 2
+        return self.TEXT_VALUES[action.dest]
+
+    def test_every_dest_is_a_config_field(self):
+        names = {f.name for f in fields(ExperimentConfig)}
+        options = self.run_options()
+        assert options
+        assert [a.dest for a in options if a.dest not in names] == []
+
+    def test_every_flag_reaches_the_config(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(DATA_ROOT_ENV, str(tmp_path))  # non-synthetic datasets need one
+        defaults = ExperimentConfig()
+        for action in self.run_options():
+            value = self.non_default(action, getattr(defaults, action.dest))
+            assert value != getattr(defaults, action.dest)
+            args = build_parser().parse_args(["run", action.option_strings[0], str(value)])
+            cfg = _config_from_args(args)
+            assert getattr(cfg, action.dest) == value, action.option_strings[0]

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,20 +13,32 @@ from subfed.federation import (
     TrainingDivergedError,
     aggregate_fedavg,
     aggregate_sub_fedavg,
-    client_update_hybrid,
-    client_update_unstructured,
+    client_update,
     make_client,
     retained_scalar_count,
     run_round,
     sample_clients,
 )
-from subfed.pruning import PruneSchedule, SparsityMask, dense_mask, full_coverage
+from subfed.pruning import (
+    PruneSchedule,
+    SparsityMask,
+    apply_mask,
+    combine_masks,
+    dense_mask,
+    derive_channel_mask,
+    derive_unstructured_mask,
+    fc_coverage,
+    full_coverage,
+)
 
 
 def result_from(client_id, values, keep):
     params = ParamSet({("fc1", "weight"): np.asarray(values, dtype=np.float32)})
     bits = {("fc1", "weight"): np.asarray(keep, dtype=bool)}
-    mask = SparsityMask(bits, full_coverage(params), None)
+    return result_of(client_id, params, SparsityMask(bits, full_coverage(params), None))
+
+
+def result_of(client_id, params, mask):
     return ClientUpdateResult(
         client_id=client_id, params=params, mask=mask,
         validation_accuracy=0.0, local_accuracy=0.0,
@@ -165,6 +180,82 @@ class TestAggregation:
                 assert out[q] == expected
 
 
+class TestKeepRule:
+    """Masking, exchange counting and aggregation agree on the BN running
+    statistics a hybrid mask keeps: those of its kept channels."""
+
+    STATS = (E.ROLE_BN_MEAN, E.ROLE_BN_VAR)
+
+    def setup_method(self):
+        self.rng = np.random.default_rng(21)
+        self.params = init_params(builtin_spec("synth-cnn"), 21)
+        for key, value in self.params.items():
+            if key[1] == E.ROLE_BN_SCALE:  # spread the channel ranking over both convs
+                value[...] = self.rng.uniform(0.1, 1.0, size=value.shape)
+        self.params = self.with_fresh_stats(self.params)
+        self.mask = combine_masks(
+            derive_channel_mask(self.params, 25),
+            derive_unstructured_mask(self.params, 40, fc_coverage(self.params)),
+            self.params,
+        )
+        self.pruned = {
+            layer: ~keep for layer, keep in self.mask.channel_keep.items() if not keep.all()
+        }
+        assert self.pruned
+
+    def with_fresh_stats(self, params):
+        """A copy with nonzero running statistics, distinct per call."""
+        out = params.copy()
+        for key, value in out.items():
+            if key[1] in self.STATS:
+                value[...] = self.rng.uniform(0.5, 1.5, size=value.shape)
+        return out
+
+    def stat_keys(self):
+        return [(layer, role) for layer in self.pruned for role in self.STATS]
+
+    def test_apply_mask_zeroes_statistics_of_pruned_channels(self):
+        masked = apply_mask(self.params, self.mask)
+        for key in self.stat_keys():
+            pruned = self.pruned[key[0]]
+            assert np.all(masked[key][pruned] == 0.0)
+            assert np.array_equal(masked[key][~pruned], self.params[key][~pruned])
+
+    def test_exchange_count_leaves_statistics_of_pruned_channels_out(self):
+        every_channel = SparsityMask(
+            self.mask.bits, self.mask.covered,
+            {layer: np.ones_like(keep) for layer, keep in self.mask.channel_keep.items()},
+        )
+        kept_learnables = sum(int(bits.sum()) for bits in self.mask.bits.values())
+        stats = sum(v.size for k, v in self.params.items() if k[1] in self.STATS)
+        assert retained_scalar_count(self.params, every_channel) == kept_learnables + stats
+        dropped = len(self.STATS) * sum(int(p.sum()) for p in self.pruned.values())
+        assert retained_scalar_count(self.params, self.mask) == (
+            kept_learnables + stats - dropped
+        )
+
+    def test_aggregation_averages_statistics_over_keepers_only(self):
+        prev, a, b, c = (self.with_fresh_stats(self.params) for _ in range(4))
+        every_channel = dense_mask(self.params, fc_coverage(self.params), with_channels=True)
+        pruner_a = result_of(0, a, self.mask)
+        keeper_b = result_of(1, b, every_channel)
+        pruner_c = result_of(2, c, self.mask)
+
+        out = aggregate_sub_fedavg([pruner_a, keeper_b], prev)
+        for key in self.stat_keys():
+            pruned = self.pruned[key[0]]
+            both = ((a[key].astype(np.float64) + b[key]) / 2).astype(np.float32)
+            assert np.array_equal(out[key][pruned], b[key][pruned])
+            assert np.array_equal(out[key][~pruned], both[~pruned])
+
+        out = aggregate_sub_fedavg([pruner_a, pruner_c], prev)
+        for key in self.stat_keys():
+            pruned = self.pruned[key[0]]
+            both = ((a[key].astype(np.float64) + c[key]) / 2).astype(np.float32)
+            assert np.array_equal(out[key][pruned], prev[key][pruned])
+            assert np.array_equal(out[key][~pruned], both[~pruned])
+
+
 def synthetic_client(cid=0, seed=0, spec_name="synth-cnn", hybrid=False, **sched_kw):
     spec = builtin_spec(spec_name)
     data = synth_dataset(4, 40, 1.0, seed=seed, image_shape=spec.input_shape)
@@ -187,8 +278,8 @@ class TestClientUpdate:
     def test_epochs_below_two_rejected(self):
         client = synthetic_client()
         with pytest.raises(ValueError, match="epochs"):
-            client_update_unstructured(
-                client, client.params, 1, 10, rng=np.random.default_rng(0)
+            client_update(
+                client, client.params, 1, 10, kind="unstructured", rng=np.random.default_rng(0)
             )
 
     def test_drift_below_eps_means_no_prune(self):
@@ -198,8 +289,8 @@ class TestClientUpdate:
             acc_threshold=0.0,
         )
         before = client.mask.copy()
-        res = client_update_unstructured(
-            client, client.params, 2, 10, rng=np.random.default_rng(1)
+        res = client_update(
+            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(1)
         )
         assert not res.pruned_unstructured
         assert all(
@@ -213,9 +304,9 @@ class TestClientUpdate:
         )
         zero_sets = []
         for r in range(4):
-            res = client_update_unstructured(
+            res = client_update(
                 client, client.params, 2, 10,
-                rng=np.random.default_rng((2, r)), round_index=r,
+                kind="unstructured", rng=np.random.default_rng((2, r)), round_index=r,
             )
             assert not res.pruned_unstructured
             zero_sets.append(client.mask.zero_count())
@@ -226,8 +317,8 @@ class TestClientUpdate:
             rate_unstructured=5.0, target_unstructured=50.0,
             acc_threshold=0.0, eps_unstructured=0.0,
         )
-        res = client_update_unstructured(
-            client, client.params, 2, 10, rng=np.random.default_rng(3)
+        res = client_update(
+            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(3)
         )
         assert res.pruned_unstructured
         governed = sum(client.mask.bits[k].size for k in client.mask.covered)
@@ -243,8 +334,8 @@ class TestClientUpdate:
             rate_unstructured=5.0, target_unstructured=50.0,
             acc_threshold=101.0, eps_unstructured=0.0,
         )
-        res = client_update_unstructured(
-            client, client.params, 2, 10, rng=np.random.default_rng(4)
+        res = client_update(
+            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(4)
         )
         assert not res.pruned_unstructured
         assert client.mask.zero_count() == 0
@@ -254,17 +345,17 @@ class TestClientUpdate:
         client = synthetic_client()
         client.optimizer.learning_rate = 1e30
         with pytest.raises(TrainingDivergedError) as err:
-            client_update_unstructured(
+            client_update(
                 client, client.params, 2, 10,
-                rng=np.random.default_rng(5), round_index=7,
+                kind="unstructured", rng=np.random.default_rng(5), round_index=7,
             )
         assert err.value.client_id == 0
         assert err.value.round_index == 7
 
     def test_uplink_accounting_dense(self):
         client = synthetic_client()
-        res = client_update_unstructured(
-            client, client.params, 2, 10, rng=np.random.default_rng(6)
+        res = client_update(
+            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(6)
         )
         total = client.params.total_scalar_count()
         assert res.uplink_bits == 32 * total
@@ -275,8 +366,8 @@ class TestClientUpdate:
             rate_unstructured=10.0, target_unstructured=50.0,
             acc_threshold=0.0, eps_unstructured=0.0,
         )
-        res = client_update_unstructured(
-            client, client.params, 2, 10, rng=np.random.default_rng(7)
+        res = client_update(
+            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(7)
         )
         assert res.pruned_unstructured
         retained = retained_scalar_count(client.params, client.mask)
@@ -288,8 +379,8 @@ class TestClientUpdate:
             rate_unstructured=10.0, target_unstructured=50.0,
             acc_threshold=0.0, eps_unstructured=0.0,
         )
-        res = client_update_unstructured(
-            client, client.params, 2, 10, rng=np.random.default_rng(12)
+        res = client_update(
+            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(12)
         )
         assert res.pruned_unstructured
         assert client.mask.sparsity() > 1 / 32
@@ -309,8 +400,8 @@ class TestHybridUpdate:
 
     def test_both_kinds_fire_and_compose(self):
         client = self.hybrid_client()
-        res = client_update_hybrid(
-            client, client.params, 2, 10, rng=np.random.default_rng(8)
+        res = client_update(
+            client, client.params, 2, 10, kind="hybrid", rng=np.random.default_rng(8)
         )
         assert res.pruned_unstructured and res.pruned_structured
         assert client.schedule.level_unstructured == 10.0
@@ -321,8 +412,8 @@ class TestHybridUpdate:
 
     def test_only_structured_fires(self):
         client = self.hybrid_client(eps_unstructured=2.0)  # blocks unstructured
-        res = client_update_hybrid(
-            client, client.params, 2, 10, rng=np.random.default_rng(9)
+        res = client_update(
+            client, client.params, 2, 10, kind="hybrid", rng=np.random.default_rng(9)
         )
         assert res.pruned_structured and not res.pruned_unstructured
         assert client.mask.channel_sparsity() > 0.0
@@ -330,15 +421,15 @@ class TestHybridUpdate:
 
     def test_neither_fires_leaves_mask(self):
         client = self.hybrid_client(eps_unstructured=2.0, eps_structured=2.0)
-        res = client_update_hybrid(
-            client, client.params, 2, 10, rng=np.random.default_rng(10)
+        res = client_update(
+            client, client.params, 2, 10, kind="hybrid", rng=np.random.default_rng(10)
         )
         assert not res.pruned_structured and not res.pruned_unstructured
         assert client.mask.zero_count() == 0
 
     def test_union_of_zero_sets_when_both_fire(self):
         client = self.hybrid_client()
-        client_update_hybrid(client, client.params, 2, 10, rng=np.random.default_rng(11))
+        client_update(client, client.params, 2, 10, kind="hybrid", rng=np.random.default_rng(11))
         from subfed.pruning import channel_component, unstructured_component
 
         ch = channel_component(client.mask, client.params)
@@ -446,3 +537,32 @@ class TestRunRound:
         server, clients = build_population()
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_round(server, clients, "fedprox", epochs=2, batch_size=10)
+
+
+class TestPerfbenchTraceBindings:
+    """perfbench/worker.py wraps module attributes of subfed.federation and
+    subfed.experiment by name for traced runs; a renamed or removed one
+    breaks `perfbench/run.py --trace 1`."""
+
+    def test_every_wrapped_name_resolves(self, monkeypatch):
+        from subfed import experiment, federation
+
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))  # the worker imports its siblings
+        spec = importlib.util.spec_from_file_location("perfbench_worker", bench / "worker.py")
+        worker = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(worker)
+
+        class Recorder:
+            def __init__(self):
+                self.bound = []
+
+            def wrap(self, module, attr, _name, _size):
+                self.bound.append((module, attr))
+
+        recorder = Recorder()
+        worker.install_full_trace(recorder, federation, experiment)
+        assert recorder.bound
+        assert {module for module, _ in recorder.bound} <= {federation, experiment}
+        missing = [(m.__name__, a) for m, a in recorder.bound if not hasattr(m, a)]
+        assert missing == []

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from subfed.engine import builtin_spec, init_params, walk_shapes, Conv
-from subfed.federation import ClientRoundRecord, RoundReport
-from subfed.metrics import (
-    CostLedger,
-    accuracy_summary,
-    comm_cost_closed_form,
-    conv_flops,
-    param_reduction,
-)
+from subfed.metrics import CostLedger, comm_cost_closed_form, conv_flops
 from subfed.pruning import dense_mask, derive_channel_mask, derive_unstructured_mask
 
 
@@ -81,13 +74,13 @@ class TestConvFlops:
 class TestParamReduction:
     def test_dense_mask_is_zero(self):
         params = init_params(builtin_spec("synth-cnn"), 0)
-        assert param_reduction(dense_mask(params)) == 0.0
+        assert dense_mask(params).sparsity() == 0.0
 
     def test_thirty_percent_target(self):
         params = init_params(builtin_spec("cnn5-mnist"), 0)
         mask = derive_unstructured_mask(params, 30)
         dense = params.learnable_count()
-        assert param_reduction(mask) == pytest.approx(0.30, abs=1.0 / dense + 0.004)
+        assert mask.sparsity() == pytest.approx(0.30, abs=1.0 / dense + 0.004)
 
     def test_hybrid_counts_zeros_once(self):
         from subfed.pruning import combine_masks, fc_coverage
@@ -103,46 +96,7 @@ class TestParamReduction:
             if key in fc.covered:
                 zeros = zeros | ~fc.bits[key]
             union += int(zeros.sum())
-        assert param_reduction(combined) == union / params.learnable_count()
-
-
-def report_with(accs, served=None, round_index=0):
-    served = served or accs
-    rows = [
-        ClientRoundRecord(
-            client_id=i, validation_accuracy=a, local_accuracy=a, served_accuracy=s,
-            sparsity=0.0, sparsity_unstructured=0.0, sparsity_channel=0.0,
-            delta_unstructured=0.0, delta_structured=0.0,
-            pruned_unstructured=False, pruned_structured=False,
-            uplink_bits=0, downlink_bits=0, conv_flops=0,
-        )
-        for i, (a, s) in enumerate(zip(accs, served))
-    ]
-    return RoundReport(round_index, "standalone", list(range(len(accs))), rows)
-
-
-class TestAccuracySummary:
-    def test_single_client(self):
-        summary = accuracy_summary([report_with([83.0])])
-        assert summary.mean == summary.minimum == summary.maximum == 83.0
-
-    def test_all_equal(self):
-        summary = accuracy_summary([report_with([70.0, 70.0, 70.0])])
-        assert summary.minimum == summary.mean == summary.maximum == 70.0
-
-    def test_mean_of_two(self):
-        summary = accuracy_summary([report_with([80.0, 90.0])])
-        assert summary.mean == 85.0
-
-    def test_curve_tracks_rounds(self):
-        reports = [report_with([10.0 * (r + 1)], round_index=r) for r in range(3)]
-        summary = accuracy_summary(reports)
-        assert [point[0] for point in summary.curve] == [0, 1, 2]
-        assert summary.final_round == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy_summary([])
+        assert combined.sparsity() == union / params.learnable_count()
 
 
 class TestLedger:

@@ -17,15 +17,11 @@ from subfed.pruning import (
     dense_mask,
     derive_channel_mask,
     derive_unstructured_mask,
-    deserialize_mask,
     fc_coverage,
     full_coverage,
     mask_distance,
-    serialize_mask,
     should_prune,
 )
-
-from helpers import random_params_and_mask
 
 
 def vector_params(values):
@@ -355,37 +351,3 @@ class TestScheduleGates:
             PruneSchedule(target_unstructured=100.0)
         with pytest.raises(ValueError):
             PruneSchedule(level_unstructured=5.0, target_unstructured=1.0)
-
-
-class TestSerialization:
-    def test_round_trip_unstructured(self):
-        rng = np.random.default_rng(7)
-        params, mask = random_params_and_mask(rng, n_entries=3)
-        blob = serialize_mask(mask)
-        back = deserialize_mask(blob, params)
-        assert back.covered == mask.covered
-        assert all(np.array_equal(back.bits[k], mask.bits[k]) for k in mask.bits)
-
-    def test_round_trip_with_channels(self):
-        _, params = two_conv_params([0.9, 0.1], [0.5, 0.05, 0.8])
-        mask = derive_channel_mask(params, 40)
-        back = deserialize_mask(serialize_mask(mask), params)
-        assert all(
-            np.array_equal(back.channel_keep[n], mask.channel_keep[n])
-            for n in mask.channel_keep
-        )
-
-    def test_payload_is_one_bit_per_position(self):
-        params = init_params(builtin_spec("synth-cnn"), 2)
-        mask = dense_mask(params)
-        blob = serialize_mask(mask)
-        head_len = int.from_bytes(blob[:4], "little")
-        payload = len(blob) - 4 - head_len
-        assert payload == math.ceil(mask.bit_length() / 8)
-
-    def test_incongruent_params_rejected(self):
-        rng = np.random.default_rng(8)
-        params, mask = random_params_and_mask(rng, n_entries=2)
-        other = vector_params([1.0])
-        with pytest.raises(MaskCongruenceError):
-            deserialize_mask(serialize_mask(mask), other)
