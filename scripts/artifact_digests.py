@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""sha256 of every byte-identical artifact of the benchmark workloads.
+
+    python3 scripts/artifact_digests.py [--workload NAME ...] [--seed N ...]
+                                        [--parallelism P]
+
+Runs each perfbench workload config (perfbench/workloads.py) for each seed
+into a temporary directory and prints one line per artifact:
+
+    <workload> seed=<n> parallelism=<p> <artifact> <sha256>
+
+Run it from the root of two checkouts and diff the outputs to show that a
+change keeps results byte-identical. config.ini is left out: it records the
+output directory and the parallelism. BLAS is pinned to one thread, as in
+perfbench.
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy is imported
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402  perfbench/workloads.py
+from subfed.config import parse_config  # noqa: E402
+from subfed.experiment import run_experiment  # noqa: E402
+
+ARTIFACTS = (
+    "summary.csv", "client_accuracy.csv", "cost_ledger.json", "rounds.ndjson",
+    "plot_accuracy_vs_round.csv", "plot_accuracy_vs_sparsity.csv",
+)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
+                    help="repeatable; default: every workload")
+    ap.add_argument("--seed", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--parallelism", type=int,
+                    help="override the workload's parallelism (0 = every usable CPU)")
+    args = ap.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in args.workload or sorted(workloads.WORKLOADS):
+            for seed in args.seed:
+                overrides = workloads.overrides(name, seed, tmp)
+                if args.parallelism is not None:
+                    overrides["parallelism"] = args.parallelism
+                run_dir = run_experiment(parse_config(overrides=overrides))
+                for artifact in ARTIFACTS:
+                    sha = hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest()
+                    print(f"{name} seed={seed} parallelism={overrides['parallelism']} "
+                          f"{artifact} {sha}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,7 +24,7 @@ class ExperimentConfig:
     rounds: int = 50
     seed: int = 0
     output_dir: str = "runs"
-    parallelism: int = 1  # intra-round client workers; 0 = available cores
+    parallelism: int = 1  # per-client worker threads; 0 = every usable CPU
 
     # [data]
     dataset: str = "synthetic"

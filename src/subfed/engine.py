@@ -319,11 +319,16 @@ def _bn_forward(x, params, name, mode):
     scale = params[(name, ROLE_BN_SCALE)]
     shift = params[(name, ROLE_BN_SHIFT)]
     if mode == "train":
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        inv = 1.0 / np.sqrt(var + x.dtype.type(BN_EPS))
-        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+        # numpy's own mean and var arithmetic (sum / n, then the centred
+        # values' sum of squares / n), with the sum and the centred values
+        # formed once; xhat is scaled in the centred values' buffer
         n = x.shape[0] * x.shape[2] * x.shape[3]
+        mean = x.sum(axis=(0, 2, 3), keepdims=True) / n
+        xhat = x - mean
+        var = (xhat * xhat).sum(axis=(0, 2, 3)) / n
+        mean = mean.reshape(-1)
+        inv = 1.0 / np.sqrt(var + x.dtype.type(BN_EPS))
+        xhat *= inv[None, :, None, None]
         unbiased = var * (n / (n - 1)) if n > 1 else var
         m = x.dtype.type(BN_MOMENTUM)
         params[(name, ROLE_BN_MEAN)][...] = (1 - m) * params[(name, ROLE_BN_MEAN)] + m * mean

@@ -29,13 +29,30 @@ from .data import (
     synth_dataset,
 )
 from .engine import builtin_spec, evaluate_accuracy, init_params
-from .federation import ClientState, RoundReport, ServerState, make_client, run_round
+from .federation import (
+    ClientState,
+    RoundReport,
+    ServerState,
+    make_client,
+    map_clients,
+    run_round,
+)
 from .metrics import CostLedger, conv_flops
 from .pruning import PruneSchedule, apply_mask
 
 # keys that affect execution but not results; left out of provenance echoes so
 # identical experiments produce byte-identical summaries
 _EXECUTION_KEYS = ("parallelism", "output_dir")
+
+
+def resolve_parallelism(parallelism: int) -> int:
+    """Worker count for a configured `parallelism`; 0 means every CPU this
+    process may run on."""
+    if parallelism:
+        return parallelism
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def provenance_dict(cfg: ExperimentConfig) -> dict:
@@ -195,7 +212,7 @@ def _next_run_name(out_root: Path) -> str:
 
 def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     server, clients = build_experiment(cfg)
-    parallelism = cfg.parallelism or os.cpu_count() or 1
+    parallelism = resolve_parallelism(cfg.parallelism)
     echo = json.dumps(provenance_dict(cfg), sort_keys=True)
     ledger = CostLedger()
     reports: list[RoundReport] = []
@@ -243,26 +260,40 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
         ("round", "mean_sparsity", "mean_local_accuracy"), sparsity_rows,
     )
 
-    # final per-client table covers every client, not only the last-round sample
-    client_rows = []
-    for cid in sorted(clients):
+    # final per-client table covers every client, not only the last-round
+    # sample. A client's params change only in client_update, which scores
+    # them on its eval set, so its latest record holds its local accuracy.
+    # Its served accuracy holds only if it was in the final round: every
+    # aggregation since an earlier one has changed the global params.
+    latest = {c.client_id: c for report in reports for c in report.clients}
+    final_round = {c.client_id for c in reports[-1].clients} if reports else set()
+
+    def table_row(cid: int) -> tuple:
         client = clients[cid]
-        local = evaluate_accuracy(server.spec, client.params, client.x_eval, client.y_eval)
+        record = latest.get(cid)
+        if record is not None:
+            local = record.local_accuracy
+        else:
+            local = evaluate_accuracy(server.spec, client.params, client.x_eval, client.y_eval)
         if cfg.algorithm == "standalone":
             served = local
+        elif cid in final_round:
+            served = record.served_accuracy
         else:
             served = evaluate_accuracy(
                 server.spec, apply_mask(server.params, client.mask),
                 client.x_eval, client.y_eval,
             )
-        client_rows.append((
+        return (
             cid, local, served,
             client.mask.sparsity(),
             client.mask.covered_sparsity(),
             client.mask.channel_sparsity(),
             client.schedule.level_unstructured,
             client.schedule.level_structured,
-        ))
+        )
+
+    client_rows = map_clients(table_row, sorted(clients), parallelism)
     _write_csv(
         tmp / "client_accuracy.csv", echo,
         ("client_id", "local_accuracy", "served_accuracy", "sparsity",

@@ -305,6 +305,17 @@ def aggregate_fedavg(results) -> ParamSet:
 # ---------------------------------------------------------------------------
 
 
+def map_clients(fn, items, parallelism: int = 1) -> list:
+    """`[fn(i) for i in items]`, on `parallelism` threads when that is more
+    than one and there is more than one item. Results come back in input
+    order, and an exception raised by `fn` propagates either way."""
+    items = list(items)
+    if parallelism > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            return list(pool.map(fn, items))
+    return [fn(i) for i in items]
+
+
 @dataclass
 class ClientRoundRecord:
     client_id: int
@@ -396,10 +407,12 @@ def run_round(
     parallelism: int = 1,
     aggregation_mode: str = "per-position",
 ) -> RoundReport:
-    """sample -> local updates (possibly concurrent) -> aggregate -> report.
+    """sample -> local updates -> aggregate -> served evaluation -> report.
 
-    Concurrent and serial execution produce identical reports: every client
-    update only touches its own state and results fold in client-id order.
+    The local updates and the served evaluations run on `parallelism`
+    workers. Concurrent and serial execution produce identical reports: every
+    client update only touches its own state, and results fold in client-id
+    order.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
@@ -415,12 +428,7 @@ def run_round(
             rng=rng, round_index=round_index, kind=kind, exchange=exchange,
         )
 
-    if parallelism > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(work, selected))
-    else:
-        results = [work(cid) for cid in selected]
-    results.sort(key=lambda r: r.client_id)
+    results = map_clients(work, selected, parallelism)
 
     if exchange:
         if algorithm == "fedavg":
@@ -429,32 +437,33 @@ def run_round(
             server.params = aggregate_sub_fedavg(results, server.params, mode=aggregation_mode)
     server.round_index = round_index + 1
 
-    rows = []
-    for r in results:
-        client = clients[r.client_id]
-        if exchange:
-            served = evaluate_accuracy(
-                server.spec, apply_mask(server.params, client.mask),
-                client.x_eval, client.y_eval,
-            )
-        else:
-            served = r.local_accuracy
-        rows.append(
-            ClientRoundRecord(
-                client_id=r.client_id,
-                validation_accuracy=r.validation_accuracy,
-                local_accuracy=r.local_accuracy,
-                served_accuracy=served,
-                sparsity=r.mask.sparsity(),
-                sparsity_unstructured=r.mask.covered_sparsity(),
-                sparsity_channel=r.mask.channel_sparsity(),
-                delta_unstructured=r.delta_unstructured,
-                delta_structured=r.delta_structured,
-                pruned_unstructured=r.pruned_unstructured,
-                pruned_structured=r.pruned_structured,
-                uplink_bits=r.uplink_bits,
-                downlink_bits=r.downlink_bits,
-                conv_flops=conv_flops(server.spec, r.mask.channel_keep).current_total,
-            )
+    def serve(cid: int) -> float:
+        client = clients[cid]
+        return evaluate_accuracy(
+            server.spec, apply_mask(server.params, client.mask), client.x_eval, client.y_eval
         )
+
+    if exchange:
+        served = map_clients(serve, selected, parallelism)
+    else:
+        served = [r.local_accuracy for r in results]
+    rows = [
+        ClientRoundRecord(
+            client_id=r.client_id,
+            validation_accuracy=r.validation_accuracy,
+            local_accuracy=r.local_accuracy,
+            served_accuracy=acc,
+            sparsity=r.mask.sparsity(),
+            sparsity_unstructured=r.mask.covered_sparsity(),
+            sparsity_channel=r.mask.channel_sparsity(),
+            delta_unstructured=r.delta_unstructured,
+            delta_structured=r.delta_structured,
+            pruned_unstructured=r.pruned_unstructured,
+            pruned_structured=r.pruned_structured,
+            uplink_bits=r.uplink_bits,
+            downlink_bits=r.downlink_bits,
+            conv_flops=conv_flops(server.spec, r.mask.channel_keep).current_total,
+        )
+        for r, acc in zip(results, served)
+    ]
     return RoundReport(round_index, algorithm, selected, rows)

@@ -161,6 +161,27 @@ def reference_pool_backward(dy, idx, window, x_shape):
     return np.ascontiguousarray(dxr).reshape(x_shape)
 
 
+def reference_bn_forward(x, params, name, mode):
+    scale = params[(name, E.ROLE_BN_SCALE)]
+    shift = params[(name, E.ROLE_BN_SHIFT)]
+    if mode == "train":
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        inv = 1.0 / np.sqrt(var + x.dtype.type(E.BN_EPS))
+        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+        n = x.shape[0] * x.shape[2] * x.shape[3]
+        unbiased = var * (n / (n - 1)) if n > 1 else var
+        m = x.dtype.type(E.BN_MOMENTUM)
+        params[(name, E.ROLE_BN_MEAN)][...] = (1 - m) * params[(name, E.ROLE_BN_MEAN)] + m * mean
+        params[(name, E.ROLE_BN_VAR)][...] = (1 - m) * params[(name, E.ROLE_BN_VAR)] + m * unbiased
+    else:
+        mean = params[(name, E.ROLE_BN_MEAN)]
+        inv = 1.0 / np.sqrt(params[(name, E.ROLE_BN_VAR)] + x.dtype.type(E.BN_EPS))
+        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+    y = xhat * scale[None, :, None, None] + shift[None, :, None, None]
+    return y, (xhat, inv, scale)
+
+
 def use_reference_kernels(monkeypatch) -> None:
     """Swap the reference kernels into the engine for the rest of a test.
 
@@ -174,6 +195,7 @@ def use_reference_kernels(monkeypatch) -> None:
     )
     monkeypatch.setattr(E, "_pool_forward", reference_pool_forward)
     monkeypatch.setattr(E, "_pool_backward", reference_pool_backward)
+    monkeypatch.setattr(E, "_bn_forward", reference_bn_forward)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -5,7 +5,7 @@ import pytest
 
 from subfed import engine as E
 from subfed.engine import (
-    Conv, Dense, Flatten, MaxPool, ModelSpec, OptimizerState, Relu,
+    Conv, Dense, Flatten, MaxPool, ModelSpec, OptimizerState, ParamSet, Relu,
     LabelError, ShapeError, SpecError,
     backward, builtin_spec, conv_channel_count, evaluate_accuracy, forward,
     init_params, sgd_step, walk_shapes,
@@ -13,8 +13,9 @@ from subfed.engine import (
 from subfed.pruning import dense_mask, full_coverage
 
 from helpers import (
-    reference_conv_backward, reference_conv_forward, reference_pool_backward,
-    reference_pool_forward, same_bits, tiny_dense_spec, use_reference_kernels,
+    reference_bn_forward, reference_conv_backward, reference_conv_forward,
+    reference_pool_backward, reference_pool_forward, same_bits, tiny_dense_spec,
+    use_reference_kernels,
 )
 
 
@@ -343,6 +344,49 @@ class TestKernelsMatchReference:
         y, _ = E._pool_forward(x, window)
         assert np.isnan(y).all()
         _check_pool(x, window)
+
+
+class TestBatchNormMatchesReference:
+    """Batch norm forms the batch mean once and gives numpy's mean/var
+    formulation bit for bit, running statistics included."""
+
+    SHAPES = [(1, 3, 1, 1), (1, 1, 1, 1), (2, 4, 1, 1), (10, 6, 28, 28),
+              (10, 16, 10, 10), (3, 5, 7, 2), (1, 2, 1, 9)]
+
+    @staticmethod
+    def _params(rng, c, dtype):
+        return ParamSet({
+            ("bn", E.ROLE_BN_SCALE): rng.normal(size=c).astype(dtype),
+            ("bn", E.ROLE_BN_SHIFT): rng.normal(size=c).astype(dtype),
+            ("bn", E.ROLE_BN_MEAN): rng.normal(size=c).astype(dtype),
+            ("bn", E.ROLE_BN_VAR): rng.uniform(0.5, 2.0, size=c).astype(dtype),
+        })
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bitwise(self, shape, dtype, mode):
+        rng = np.random.default_rng(list(shape))
+        x = (rng.normal(size=shape) * 7.0 + 3.0).astype(dtype)
+        params = self._params(rng, shape[1], dtype)
+        ref_params = params.copy()
+        y, (xhat, inv, _) = E._bn_forward(x, params, "bn", mode)
+        ref_y, (ref_xhat, ref_inv, _) = reference_bn_forward(x, ref_params, "bn", mode)
+        assert same_bits(y, ref_y) and same_bits(xhat, ref_xhat) and same_bits(inv, ref_inv)
+        for key in params.keys():  # the running-statistic updates
+            assert same_bits(params[key], ref_params[key]), key
+
+    def test_strided_input(self):
+        rng = np.random.default_rng(4)
+        x = np.ascontiguousarray(rng.normal(size=(4, 6, 5, 3)).astype(np.float32))
+        x = x.transpose(0, 3, 1, 2)  # NCHW view of NHWC memory
+        params = self._params(rng, 3, np.float32)
+        ref_params = params.copy()
+        y, (xhat, _, _) = E._bn_forward(x, params, "bn", "train")
+        ref_y, (ref_xhat, _, _) = reference_bn_forward(x, ref_params, "bn", "train")
+        assert same_bits(y, ref_y) and same_bits(xhat, ref_xhat)
+        for key in params.keys():
+            assert same_bits(params[key], ref_params[key]), key
 
 
 def _random_mask(params, rng):

@@ -1,4 +1,7 @@
 import importlib.util
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,7 @@ from subfed.federation import (
     aggregate_sub_fedavg,
     client_update,
     make_client,
+    map_clients,
     retained_scalar_count,
     run_round,
     sample_clients,
@@ -489,18 +493,23 @@ class TestRunRound:
         assert reports[0].to_json_dict() == reports[1].to_json_dict()
 
     def test_parallel_equals_serial(self):
+        # more workers than clients and cores, switching threads often
         outputs = []
-        for workers in (1, 4):
-            server, clients = build_population(seed=6)
-            report = run_round(
-                server, clients, "sub-fedavg-un", epochs=2, batch_size=10,
-                parallelism=workers,
-            )
-            outputs.append((report.to_json_dict(), server.params))
-        assert outputs[0][0] == outputs[1][0]
-        assert all(
-            np.array_equal(outputs[0][1][k], outputs[1][1][k]) for k in outputs[0][1].keys()
-        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 4, 8):
+                server, clients = build_population(seed=6)
+                report = run_round(
+                    server, clients, "sub-fedavg-un", epochs=2, batch_size=10,
+                    parallelism=workers,
+                )
+                outputs.append((report.to_json_dict(), server.params))
+        finally:
+            sys.setswitchinterval(interval)
+        for report, params in outputs[1:]:
+            assert report == outputs[0][0]
+            assert all(np.array_equal(params[k], outputs[0][1][k]) for k in params.keys())
 
     def test_masks_stable_after_target_reached(self):
         server, clients = build_population(
@@ -537,6 +546,45 @@ class TestRunRound:
         server, clients = build_population()
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_round(server, clients, "fedprox", epochs=2, batch_size=10)
+
+
+class TestMapClients:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_input_order_kept(self, workers):
+        # later items finish first when they run concurrently
+        def slow_first(i):
+            time.sleep(0.002 * (5 - i))
+            return i * i
+
+        assert map_clients(slow_first, [0, 1, 2, 3, 4], workers) == [0, 1, 4, 9, 16]
+
+    def test_runs_on_threads_only_when_asked(self):
+        def thread(_):
+            return threading.get_ident()
+
+        main = threading.get_ident()
+        assert set(map_clients(thread, range(3), 1)) == {main}
+        assert set(map_clients(thread, [0], 2)) == {main}
+        assert main not in map_clients(thread, range(3), 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_propagates(self, workers):
+        def diverge_at_two(cid):
+            if cid == 2:
+                raise TrainingDivergedError(cid, 5)
+            return cid
+
+        with pytest.raises(TrainingDivergedError) as err:
+            map_clients(diverge_at_two, range(4), workers)
+        assert (err.value.client_id, err.value.round_index) == (2, 5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    def test_round_divergence_propagates_from_a_worker(self):
+        server, clients = build_population()
+        clients[2].optimizer.learning_rate = 1e30
+        with pytest.raises(TrainingDivergedError) as err:
+            run_round(server, clients, "fedavg", epochs=2, batch_size=10, parallelism=2)
+        assert err.value.client_id == 2
 
 
 class TestPerfbenchTraceBindings:
