@@ -293,8 +293,10 @@ def _conv_forward(x, w, b):
     oh, ow = h - k + 1, width - k + 1
     offsets = _im2col_offsets(c, h, width, k)
     cols = np.take(x.reshape(n, c * h * width), offsets, axis=1).reshape(n * oh * ow, c * k * k)
-    y = cols @ w.reshape(o, -1).T + b
-    return np.ascontiguousarray(y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)), cols
+    y = cols @ w.reshape(o, -1).T
+    y = np.ascontiguousarray(y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
+    y += b[:, None, None]
+    return y, cols
 
 
 def _conv_backward(dy, cols, w, x_shape, input_grad=True):
@@ -316,27 +318,34 @@ def _conv_backward(dy, cols, w, x_shape, input_grad=True):
 
 
 def _bn_forward(x, params, name, mode):
+    """Batch norm of a conv output; returns (y, cache), the cache None in eval.
+
+    Eval normalises `x` in place (it is the conv's own output) with the
+    running statistics, as ((x - mean) * inv) * scale + shift.
+    """
     scale = params[(name, ROLE_BN_SCALE)]
     shift = params[(name, ROLE_BN_SHIFT)]
-    if mode == "train":
-        # numpy's own mean and var arithmetic (sum / n, then the centred
-        # values' sum of squares / n), with the sum and the centred values
-        # formed once; xhat is scaled in the centred values' buffer
-        n = x.shape[0] * x.shape[2] * x.shape[3]
-        mean = x.sum(axis=(0, 2, 3), keepdims=True) / n
-        xhat = x - mean
-        var = (xhat * xhat).sum(axis=(0, 2, 3)) / n
-        mean = mean.reshape(-1)
-        inv = 1.0 / np.sqrt(var + x.dtype.type(BN_EPS))
-        xhat *= inv[None, :, None, None]
-        unbiased = var * (n / (n - 1)) if n > 1 else var
-        m = x.dtype.type(BN_MOMENTUM)
-        params[(name, ROLE_BN_MEAN)][...] = (1 - m) * params[(name, ROLE_BN_MEAN)] + m * mean
-        params[(name, ROLE_BN_VAR)][...] = (1 - m) * params[(name, ROLE_BN_VAR)] + m * unbiased
-    else:
-        mean = params[(name, ROLE_BN_MEAN)]
+    if mode == "eval":
         inv = 1.0 / np.sqrt(params[(name, ROLE_BN_VAR)] + x.dtype.type(BN_EPS))
-        xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+        x -= params[(name, ROLE_BN_MEAN)][None, :, None, None]
+        x *= inv[None, :, None, None]
+        x *= scale[None, :, None, None]
+        x += shift[None, :, None, None]
+        return x, None
+    # numpy's own mean and var arithmetic (sum / n, then the centred values'
+    # sum of squares / n), with the sum and the centred values formed once;
+    # xhat is scaled in the centred values' buffer
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    mean = x.sum(axis=(0, 2, 3), keepdims=True) / n
+    xhat = x - mean
+    var = (xhat * xhat).sum(axis=(0, 2, 3)) / n
+    mean = mean.reshape(-1)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(BN_EPS))
+    xhat *= inv[None, :, None, None]
+    unbiased = var * (n / (n - 1)) if n > 1 else var
+    m = x.dtype.type(BN_MOMENTUM)
+    params[(name, ROLE_BN_MEAN)][...] = (1 - m) * params[(name, ROLE_BN_MEAN)] + m * mean
+    params[(name, ROLE_BN_VAR)][...] = (1 - m) * params[(name, ROLE_BN_VAR)] + m * unbiased
     y = xhat * scale[None, :, None, None] + shift[None, :, None, None]
     return y, (xhat, inv, scale)
 
@@ -384,6 +393,26 @@ def _pool_forward(x, window):
     return y, idx
 
 
+def _pool_max(x, window):
+    """Window maxima only, as eval needs them: the max over each window's
+    rows, then over its columns, on strided views of `x`.
+
+    The first and last tap of each pass start a new array (one tap twice
+    for a window of 1), so the result never shares memory with `x`. Max is
+    exact, so `y` equals `_pool_forward`'s values as real numbers, NaN in
+    the same places; only the sign of a tied zero or a NaN payload may differ.
+    """
+    n, c, h, w = x.shape
+    xr = x.reshape(n, c, h // window, window, w // window, window)
+    rows = np.maximum(xr[:, :, :, 0], xr[:, :, :, window - 1])
+    for a in range(1, window - 1):
+        np.maximum(rows, xr[:, :, :, a], out=rows)
+    y = np.maximum(rows[..., 0], rows[..., window - 1])
+    for b in range(1, window - 1):
+        np.maximum(y, rows[..., b], out=y)
+    return y
+
+
 def _pool_backward(dy, idx, window, x_shape):
     """Route each window's gradient to its max, tap by tap; other entries get +0."""
     n, c, h, w = x_shape
@@ -402,8 +431,10 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
 
     In train mode batch-norm layers use batch statistics and update the running
     statistics stored in `params` in place, and the cache records what
-    `backward` needs. Eval mode is a pure function and records nothing.
-    Returns (logits, cache).
+    `backward` needs. Eval mode is a pure function, records nothing and does
+    only inference work: batch norm in place and max pooling without an
+    index. Neither mode writes to `batch`; the bias adds and the ReLU work in
+    place only on arrays this call allocated. Returns (logits, cache).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -412,9 +443,11 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
         raise ShapeError(
             f"{spec.name}:input: expected batch of {spec.input_shape}, got {batch.shape}"
         )
+    train = mode == "train"
     x = batch
+    owned = False  # whether x is an array this call allocated
     records = []
-    keep = records.append if mode == "train" else (lambda record: None)
+    keep = records.append if train else (lambda record: None)
     for name, desc, in_shape, _ in layers:
         if isinstance(desc, Conv):
             w = params[(name, ROLE_WEIGHT)]
@@ -423,21 +456,29 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
             if desc.batch_norm:
                 y, bn_cache = _bn_forward(y, params, name, mode)
             keep((name, desc, (x.shape, cols, bn_cache)))
-            x = y
+            x, owned = y, True
         elif isinstance(desc, MaxPool):
-            y, idx = _pool_forward(x, desc.window)
-            keep((name, desc, (x.shape, idx)))
-            x = y
+            if train:
+                y, idx = _pool_forward(x, desc.window)
+                keep((name, desc, (x.shape, idx)))
+            else:
+                y = _pool_max(x, desc.window)
+            x, owned = y, True
         elif isinstance(desc, Relu):
             mask = x > 0
             keep((name, desc, mask))
-            x = x * mask
+            if owned:
+                x *= mask
+            else:
+                x, owned = x * mask, True
         elif isinstance(desc, Flatten):
             keep((name, desc, x.shape))
             x = x.reshape(x.shape[0], -1)
         elif isinstance(desc, Dense):
             keep((name, desc, x))
-            x = x @ params[(name, ROLE_WEIGHT)].T + params[(name, ROLE_BIAS)]
+            x = x @ params[(name, ROLE_WEIGHT)].T
+            x += params[(name, ROLE_BIAS)]
+            owned = True
     return x, ForwardCache(spec, mode, batch.shape[0], records, x, params)
 
 

@@ -182,6 +182,32 @@ def reference_bn_forward(x, params, name, mode):
     return y, (xhat, inv, scale)
 
 
+def reference_eval_forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray) -> np.ndarray:
+    """Eval-mode logits from the plain layer walk: every layer allocates its
+    output, batch norm forms xhat, and max pooling builds its argmax index.
+
+    This is `forward`'s eval path before eval did only inference work, over
+    the reference kernels, which give that path's kernels' results bit for bit.
+    """
+    x = batch
+    for name, desc, _in, _out in E.walk_shapes(spec):
+        if isinstance(desc, E.Conv):
+            y, _ = reference_conv_forward(x, params[(name, E.ROLE_WEIGHT)],
+                                          params[(name, E.ROLE_BIAS)])
+            if desc.batch_norm:
+                y, _ = reference_bn_forward(y, params, name, "eval")
+            x = y
+        elif isinstance(desc, E.MaxPool):
+            x, _ = reference_pool_forward(x, desc.window)
+        elif isinstance(desc, E.Relu):
+            x = x * (x > 0)
+        elif isinstance(desc, E.Flatten):
+            x = x.reshape(x.shape[0], -1)
+        elif isinstance(desc, E.Dense):
+            x = x @ params[(name, E.ROLE_WEIGHT)].T + params[(name, E.ROLE_BIAS)]
+    return x
+
+
 def use_reference_kernels(monkeypatch) -> None:
     """Swap the reference kernels into the engine for the rest of a test.
 
@@ -194,6 +220,7 @@ def use_reference_kernels(monkeypatch) -> None:
         lambda dy, cols, w, x_shape, input_grad=True: reference_conv_backward(dy, cols, w, x_shape),
     )
     monkeypatch.setattr(E, "_pool_forward", reference_pool_forward)
+    monkeypatch.setattr(E, "_pool_max", lambda x, window: reference_pool_forward(x, window)[0])
     monkeypatch.setattr(E, "_pool_backward", reference_pool_backward)
     monkeypatch.setattr(E, "_bn_forward", reference_bn_forward)
 

@@ -13,9 +13,9 @@ from subfed.engine import (
 from subfed.pruning import dense_mask, full_coverage
 
 from helpers import (
-    reference_bn_forward, reference_conv_backward, reference_conv_forward,
-    reference_pool_backward, reference_pool_forward, same_bits, tiny_dense_spec,
-    use_reference_kernels,
+    random_small_spec, reference_bn_forward, reference_conv_backward, reference_conv_forward,
+    reference_eval_forward, reference_pool_backward, reference_pool_forward, same_bits,
+    tiny_dense_spec, use_reference_kernels,
 )
 
 
@@ -280,6 +280,7 @@ def _check_pool(x, window):
     ref_y, ref_idx = reference_pool_forward(x, window)
     assert same_bits(y, ref_y)
     assert np.array_equal(idx, ref_idx)
+    assert np.array_equal(E._pool_max(x, window), ref_y, equal_nan=True)  # eval: values only
     dy = np.random.default_rng(x.size).normal(size=y.shape).astype(x.dtype)
     assert same_bits(E._pool_backward(dy, idx, window, x.shape),
                      reference_pool_backward(dy, ref_idx, window, x.shape))
@@ -348,7 +349,9 @@ class TestKernelsMatchReference:
 
 class TestBatchNormMatchesReference:
     """Batch norm forms the batch mean once and gives numpy's mean/var
-    formulation bit for bit, running statistics included."""
+    formulation bit for bit, running statistics included. Eval works in
+    place on its input and keeps no cache, so only its output and the
+    parameters are compared."""
 
     SHAPES = [(1, 3, 1, 1), (1, 1, 1, 1), (2, 4, 1, 1), (10, 6, 28, 28),
               (10, 16, 10, 10), (3, 5, 7, 2), (1, 2, 1, 9)]
@@ -370,9 +373,14 @@ class TestBatchNormMatchesReference:
         x = (rng.normal(size=shape) * 7.0 + 3.0).astype(dtype)
         params = self._params(rng, shape[1], dtype)
         ref_params = params.copy()
-        y, (xhat, inv, _) = E._bn_forward(x, params, "bn", mode)
-        ref_y, (ref_xhat, ref_inv, _) = reference_bn_forward(x, ref_params, "bn", mode)
-        assert same_bits(y, ref_y) and same_bits(xhat, ref_xhat) and same_bits(inv, ref_inv)
+        ref_y, ref_cache = reference_bn_forward(x, ref_params, "bn", mode)
+        y, cache = E._bn_forward(x.copy(), params, "bn", mode)
+        assert same_bits(y, ref_y)
+        if mode == "train":
+            (xhat, inv, _), (ref_xhat, ref_inv, _) = cache, ref_cache
+            assert same_bits(xhat, ref_xhat) and same_bits(inv, ref_inv)
+        else:
+            assert cache is None
         for key in params.keys():  # the running-statistic updates
             assert same_bits(params[key], ref_params[key]), key
 
@@ -387,6 +395,110 @@ class TestBatchNormMatchesReference:
         assert same_bits(y, ref_y) and same_bits(xhat, ref_xhat)
         for key in params.keys():
             assert same_bits(params[key], ref_params[key]), key
+
+
+BUILTIN_MODELS = ("cnn5-mnist", "lenet5-cifar", "synth-cnn")
+
+# Specs whose first in-place candidate is the caller's batch (a ReLU on it,
+# or on its flattened view), and pools by windows of 3 and 1
+EDGE_SPECS = {
+    "relu-first": ModelSpec("relu-first", (2, 6, 6), (
+        Relu(), Conv(2, 3, 3, batch_norm=True), MaxPool(2), Relu(), Flatten(), Dense(12, 4))),
+    "flatten-relu-dense": ModelSpec("flatten-relu-dense", (1, 3, 3), (
+        Flatten(), Relu(), Dense(9, 4))),
+    "pool3-first": ModelSpec("pool3-first", (1, 6, 6), (
+        MaxPool(3), Relu(), Conv(1, 2, 2, batch_norm=True), MaxPool(1), Relu(), Flatten(),
+        Dense(2, 3))),
+}
+
+
+SPECS = {
+    **{name: builtin_spec(name) for name in BUILTIN_MODELS},
+    **EDGE_SPECS,
+    **{f"random-{seed}": random_small_spec(np.random.default_rng(seed),
+                                           force_bn=True if seed % 2 else None)
+       for seed in range(6)},
+}
+
+
+def _eval_params(spec, dtype, rng):
+    """Glorot weights; nonzero biases, BN shifts and running means; running
+    variances off 1; BN scales that include zeros and negative values."""
+    params = init_params(spec, 0, dtype)
+    for (_name, role), arr in params.items():
+        if role == E.ROLE_BN_VAR:
+            arr[...] = rng.uniform(0.5, 2.0, arr.shape)
+        elif role == E.ROLE_BN_SCALE:
+            arr[...] = rng.normal(size=arr.shape)
+            arr[::3] = 0.0
+            arr[1::3] = -np.abs(arr[1::3])
+        elif role != E.ROLE_WEIGHT:
+            arr[...] = rng.normal(size=arr.shape) * 0.5
+    return params
+
+
+def _special_batch(spec, n, dtype, rng):
+    """Normal inputs; each sample is plain, all signed zeros, half signed
+    zeros with one +inf and one -inf, or holds one NaN, at random."""
+    x = rng.normal(size=(n, *spec.input_shape)).astype(dtype)
+    flat = x.reshape(n, -1)
+    size = flat.shape[1]
+    for row, kind in zip(flat, rng.integers(0, 4, size=n)):
+        if kind == 1:
+            row[...] = rng.choice(np.array([-0.0, 0.0], dtype), size)
+        elif kind == 2:
+            zeros = rng.random(size) < 0.5
+            row[zeros] = rng.choice(np.array([-0.0, 0.0], dtype), int(zeros.sum()))
+            row[rng.choice(size, 2, replace=False)] = [np.inf, -np.inf]
+        elif kind == 3:
+            row[rng.integers(size)] = np.nan
+    return x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+class TestEvalForwardMatchesReference:
+    """Eval logits equal the plain layer walk's as real numbers, with NaN in
+    the same places, so argmax and every accuracy are the same. Only the sign
+    of a zero or a NaN payload may differ, where pooling ties at zero."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_logits(self, name, dtype):
+        spec = SPECS[name]
+        rng = np.random.default_rng(list(SPECS).index(name))
+        params = _eval_params(spec, dtype, rng)
+        for n in (1, 3, 10, 100, 300):
+            x = _special_batch(spec, n, dtype, rng)
+            got, _ = forward(spec, params, x, "eval")
+            ref = reference_eval_forward(spec, params, x)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(got), nan), (name, n)
+            assert np.array_equal(got[~nan], ref[~nan]), (name, n)
+            assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
+        # the special values reach the logits, and plain samples stay finite
+        assert nan.any() and np.isfinite(ref).all(axis=1).any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestForwardLeavesInputsAlone:
+    """Neither mode writes to the caller's batch or the parameters, apart
+    from train mode's running-statistic update."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("name", [*BUILTIN_MODELS, *EDGE_SPECS])
+    def test_batch_and_params_bitwise(self, name, mode):
+        spec = SPECS[name]
+        rng = np.random.default_rng(12)
+        params = _eval_params(spec, np.float32, rng)
+        x = _special_batch(spec, 12, np.float32, rng)
+        x_before, params_before = x.copy(), params.copy()
+        forward(spec, params, x, mode)
+        assert same_bits(x, x_before)
+        for key, arr in params.items():
+            if mode == "train" and key[1] in E.RUNNING_ROLES:
+                continue
+            assert same_bits(arr, params_before[key]), key
 
 
 def _random_mask(params, rng):
