@@ -183,11 +183,10 @@ def reference_bn_forward(x, params, name, mode):
 
 
 def reference_eval_forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray) -> np.ndarray:
-    """Eval-mode logits from the plain layer walk: every layer allocates its
-    output, batch norm forms xhat, and max pooling builds its argmax index.
-
-    This is `forward`'s eval path before eval did only inference work, over
-    the reference kernels, which give that path's kernels' results bit for bit.
+    """Eval-mode logits from the plain layer walk over the reference kernels:
+    every layer allocates its output, batch norm forms xhat, and max pooling
+    builds its argmax index. `forward`'s eval mode must give the same logits
+    as real numbers, with NaN in the same places.
     """
     x = batch
     for name, desc, _in, _out in E.walk_shapes(spec):
