@@ -33,11 +33,11 @@ def main() -> int:
         output_dir=args.out, parallelism=args.parallelism,
     ))
 
-    def progress(report):
+    def progress(record):
         print(
-            f"round {report.round_index:4d}  local {report.mean_local_accuracy:6.2f}  "
-            f"served {report.mean_served_accuracy:6.2f}  "
-            f"sparsity {report.mean_sparsity_unstructured:5.3f}"
+            f"round {record['round']:4d}  local {record['mean_local_accuracy']:6.2f}  "
+            f"served {record['mean_served_accuracy']:6.2f}  "
+            f"sparsity {record['mean_sparsity_unstructured']:5.3f}"
         )
 
     run_dir = run_experiment(cfg, progress=progress)

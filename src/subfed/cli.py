@@ -72,14 +72,14 @@ def cmd_run(args) -> int:
 
     cfg = _config_from_args(args)
 
-    def progress(report):
+    def progress(record):
         if not args.quiet:
             print(
-                f"round {report.round_index:4d}  "
-                f"acc(local) {report.mean_local_accuracy:6.2f}  "
-                f"acc(served) {report.mean_served_accuracy:6.2f}  "
-                f"sparsity {report.mean_sparsity_unstructured:5.3f}/"
-                f"{report.mean_sparsity_channel:5.3f}"
+                f"round {record['round']:4d}  "
+                f"acc(local) {record['mean_local_accuracy']:6.2f}  "
+                f"acc(served) {record['mean_served_accuracy']:6.2f}  "
+                f"sparsity {record['mean_sparsity_unstructured']:5.3f}/"
+                f"{record['mean_sparsity_channel']:5.3f}"
             )
 
     run_dir = run_experiment(cfg, progress=progress)
@@ -119,6 +119,8 @@ def cmd_partition_dump(args) -> int:
 def cmd_flops(args) -> int:
     from .engine import Conv, walk_shapes
 
+    if not 0 <= args.channel_prune < 100:
+        raise ConfigError(f"--channel-prune: must lie in [0, 100), got {args.channel_prune}")
     spec = builtin_spec(args.model)
     keep_sets = None
     if args.channel_prune:

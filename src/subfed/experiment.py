@@ -31,13 +31,14 @@ from .data import (
 from .engine import builtin_spec, evaluate_accuracy, init_params
 from .federation import (
     ClientState,
-    RoundReport,
     ServerState,
+    client_mean,
     make_client,
     map_clients,
     run_round,
+    sample_size,
 )
-from .metrics import CostLedger, conv_flops
+from .metrics import BITS_PER_MASK_POSITION, BITS_PER_SCALAR, conv_flops
 from .pruning import PruneSchedule, apply_mask
 
 # keys that affect execution but not results; left out of provenance echoes so
@@ -188,7 +189,8 @@ def _write_csv(path: Path, comment: str, header, rows) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> Path:
-    """Execute the configured experiment; returns the finished run directory."""
+    """Execute the configured experiment; returns the finished run directory.
+    `progress`, if given, is called with each round record as it is written."""
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     tmp = out_root / f".tmp-{os.getpid()}-{uuid.uuid4().hex[:8]}"
@@ -210,75 +212,89 @@ def _next_run_name(out_root: Path) -> str:
     return f"run-{(max(taken) + 1 if taken else 1):04d}"
 
 
+def write_round_artifacts(run_dir: Path, cfg: ExperimentConfig, records: list[dict]) -> None:
+    """Write summary.csv, both plot CSVs and cost_ledger.json from the round
+    records alone (the lines of rounds.ndjson after its config echo)."""
+    echo = json.dumps(provenance_dict(cfg), sort_keys=True)
+    summary_rows = []
+    cum_bits = cum_flops = 0
+    for r in records:
+        cum_bits += r["total_uplink_bits"] + r["total_downlink_bits"]
+        cum_flops += r["total_conv_flops"]
+        summary_rows.append((
+            r["round"], cfg.algorithm, r["mean_local_accuracy"], r["mean_served_accuracy"],
+            r["mean_sparsity_unstructured"], r["mean_sparsity_channel"],
+            cum_bits / 8, cum_flops,
+        ))
+    _write_csv(run_dir / "summary.csv", echo, SUMMARY_COLUMNS, summary_rows)
+    _write_csv(
+        run_dir / "plot_accuracy_vs_round.csv", echo,
+        ("round", "mean_local_accuracy", "mean_served_accuracy"),
+        [(r["round"], r["mean_local_accuracy"], r["mean_served_accuracy"]) for r in records],
+    )
+    _write_csv(
+        run_dir / "plot_accuracy_vs_sparsity.csv", echo,
+        ("round", "mean_sparsity", "mean_local_accuracy"),
+        [(r["round"], client_mean(r["clients"], "sparsity"), r["mean_local_accuracy"])
+         for r in records],
+    )
+    uplink = sum(r["total_uplink_bits"] for r in records)
+    downlink = sum(r["total_downlink_bits"] for r in records)
+    ledger = {
+        "bits_per_scalar": BITS_PER_SCALAR,
+        "bits_per_mask_position": BITS_PER_MASK_POSITION,
+        "total_uplink_bits": uplink,
+        "total_downlink_bits": downlink,
+        "total_bytes": (uplink + downlink) / 8,
+        "rounds": [
+            {str(c["id"]): [c["uplink_bits"], c["downlink_bits"]] for c in r["clients"]}
+            for r in records
+        ],
+        "config": provenance_dict(cfg),
+    }
+    (run_dir / "cost_ledger.json").write_text(json.dumps(ledger, sort_keys=True, indent=1))
+
+
 def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     server, clients = build_experiment(cfg)
     parallelism = resolve_parallelism(cfg.parallelism)
-    echo = json.dumps(provenance_dict(cfg), sort_keys=True)
-    ledger = CostLedger()
-    reports: list[RoundReport] = []
-    cum_bits = 0
-    cum_flops = 0
-    summary_rows = []
-    sparsity_rows = []
+    records: list[dict] = []
     with open(tmp / "rounds.ndjson", "w") as stream:
         stream.write(json.dumps({"config": provenance_dict(cfg)}, sort_keys=True) + "\n")
         for _ in range(cfg.rounds):
-            report = run_round(
+            # only the plain record outlives the round: the report holds the
+            # clients' params and masks
+            record = run_round(
                 server, clients, cfg.algorithm,
                 epochs=cfg.local_epochs,
                 batch_size=cfg.batch_size,
                 parallelism=parallelism,
                 aggregation_mode=cfg.aggregation,
-            )
-            reports.append(report)
-            ledger.record_round(
-                {c.client_id: (c.uplink_bits, c.downlink_bits) for c in report.clients}
-            )
-            cum_bits += report.total_uplink_bits + report.total_downlink_bits
-            cum_flops += report.total_conv_flops
-            stream.write(json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-            summary_rows.append((
-                report.round_index, cfg.algorithm,
-                report.mean_local_accuracy, report.mean_served_accuracy,
-                report.mean_sparsity_unstructured, report.mean_sparsity_channel,
-                cum_bits / 8, cum_flops,
-            ))
-            sparsity_rows.append(
-                (report.round_index, report.mean_sparsity, report.mean_local_accuracy)
-            )
+            ).to_json_dict()
+            records.append(record)
+            stream.write(json.dumps(record, sort_keys=True) + "\n")
             if progress is not None:
-                progress(report)
-
-    _write_csv(tmp / "summary.csv", echo, SUMMARY_COLUMNS, summary_rows)
-    _write_csv(
-        tmp / "plot_accuracy_vs_round.csv", echo,
-        ("round", "mean_local_accuracy", "mean_served_accuracy"),
-        [(r.round_index, r.mean_local_accuracy, r.mean_served_accuracy) for r in reports],
-    )
-    _write_csv(
-        tmp / "plot_accuracy_vs_sparsity.csv", echo,
-        ("round", "mean_sparsity", "mean_local_accuracy"), sparsity_rows,
-    )
+                progress(record)
 
     # final per-client table covers every client, not only the last-round
     # sample. A client's params change only in client_update, which scores
     # them on its eval set, so its latest record holds its local accuracy.
     # Its served accuracy holds only if it was in the final round: every
     # aggregation since an earlier one has changed the global params.
-    latest = {c.client_id: c for report in reports for c in report.clients}
-    final_round = {c.client_id for c in reports[-1].clients} if reports else set()
+    latest = {c["id"]: c for record in records for c in record["clients"]}
+    final_round = {c["id"] for c in records[-1]["clients"]} if records else set()
 
     def table_row(cid: int) -> tuple:
         client = clients[cid]
-        record = latest.get(cid)
-        if record is not None:
-            local = record.local_accuracy
+        entry = latest.get(cid)
+        if entry is not None:
+            local = entry["local_accuracy"]
         else:
             local = evaluate_accuracy(server.spec, client.params, client.x_eval, client.y_eval)
         if cfg.algorithm == "standalone":
             served = local
         elif cid in final_round:
-            served = record.served_accuracy
+            served = entry["served_accuracy"]
         else:
             served = evaluate_accuracy(
                 server.spec, apply_mask(server.params, client.mask),
@@ -295,16 +311,13 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
 
     client_rows = map_clients(table_row, sorted(clients), parallelism)
     _write_csv(
-        tmp / "client_accuracy.csv", echo,
+        tmp / "client_accuracy.csv", json.dumps(provenance_dict(cfg), sort_keys=True),
         ("client_id", "local_accuracy", "served_accuracy", "sparsity",
          "sparsity_unstructured", "sparsity_channel",
          "schedule_level_unstructured", "schedule_level_structured"),
         client_rows,
     )
-
-    payload = ledger.to_json_dict()
-    payload["config"] = provenance_dict(cfg)
-    (tmp / "cost_ledger.json").write_text(json.dumps(payload, sort_keys=True, indent=1))
+    write_round_artifacts(tmp, cfg, records)
     (tmp / "config.ini").write_text(config_to_ini(cfg))
 
     out_root = Path(cfg.output_dir)
@@ -365,7 +378,9 @@ def compare_runs(paths) -> tuple[list[dict], str]:
                 )
             else:
                 last_round_flops = float(last["cumulative_conv_flops"])
-            per_client = last_round_flops / _clients_in_round(config)
+            per_client = last_round_flops / sample_size(
+                int(config.get("clients", 1)), float(config.get("sampling_rate", 1.0))
+            )
             if dense > 0 and per_client > 0:
                 flop_reduction = dense / per_client
         entries.append({
@@ -388,12 +403,6 @@ def compare_runs(paths) -> tuple[list[dict], str]:
     for entry in entries:
         lines.append("  ".join(_cell(entry, h).ljust(widths[h]) for h in headers))
     return entries, "\n".join(lines)
-
-
-def _clients_in_round(config: dict) -> int:
-    n = int(config.get("clients", 1))
-    rate = float(config.get("sampling_rate", 1.0))
-    return min(n, max(1, round(rate * n)))
 
 
 def _cell(entry: dict, key: str) -> str:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import ALGORITHM_CHOICES
 from .engine import (
     ModelSpec,
     OptimizerState,
@@ -40,9 +41,6 @@ from .pruning import (
     should_prune,
     unstructured_component,
 )
-
-ALGORITHMS = ("sub-fedavg-un", "sub-fedavg-hy", "fedavg", "standalone")
-
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, client_id: int, round_index: int):
@@ -81,6 +79,9 @@ class ServerState:
 
 @dataclass
 class ClientUpdateResult:
+    """What a client uploads in a round (params, mask) and what the round
+    records about it; `run_round` sets `served_accuracy` after aggregation."""
+
     client_id: int
     params: ParamSet
     mask: SparsityMask
@@ -92,6 +93,21 @@ class ClientUpdateResult:
     pruned_structured: bool
     uplink_bits: int
     downlink_bits: int
+    conv_flops: int
+    served_accuracy: float | None = None
+
+    def to_json_dict(self) -> dict:
+        """The client's entry in a round record: every field but the params
+        and the mask, plus the mask's three sparsities."""
+        row = {
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name not in ("client_id", "params", "mask")
+        }
+        row["id"] = self.client_id  # the key rounds.ndjson has always used
+        row["sparsity"] = self.mask.sparsity()
+        row["sparsity_unstructured"] = self.mask.covered_sparsity()
+        row["sparsity_channel"] = self.mask.channel_sparsity()
+        return row
 
 
 def make_client(
@@ -128,26 +144,30 @@ def retained_scalar_count(params: ParamSet, mask: SparsityMask) -> int:
     return sum(int(mask.keep(key, value.shape).sum()) for key, value in params.items())
 
 
+def sample_size(n: int, sampling_rate: float) -> int:
+    """Clients in each round: max(1, round(K*N)), at most N."""
+    return min(n, max(1, round(sampling_rate * n)))
+
+
 def sample_clients(server: ServerState, round_index: int) -> list[int]:
-    """Uniform sample without replacement of max(1, round(K*N)) client ids;
+    """Uniform sample without replacement of `sample_size` client ids;
     deterministic in (seed, round)."""
     n = len(server.client_ids)
     if n == 0:
         raise ValueError("client registry is empty")
-    m = min(n, max(1, round(server.sampling_rate * n)))
+    m = sample_size(n, server.sampling_rate)
     rng = np.random.default_rng((server.seed, 9173, round_index))
     picks = rng.choice(n, size=m, replace=False)
     return sorted(server.client_ids[i] for i in picks)
 
 
-def _candidates(params: ParamSet, client: ClientState, kind: str):
+def _candidates(params: ParamSet, client: ClientState):
     sched = client.schedule
     frac_us = sched.next_fraction("unstructured")
     un = derive_unstructured_mask(params, frac_us, client.mask.covered)
-    if kind == "hybrid":
-        ch = derive_channel_mask(params, sched.next_fraction("structured"))
-        return un, ch
-    return un, None
+    if client.mask.channel_keep is None:
+        return un, None
+    return un, derive_channel_mask(params, sched.next_fraction("structured"))
 
 
 def client_update(
@@ -158,21 +178,21 @@ def client_update(
     *,
     rng: np.random.Generator,
     round_index: int = 0,
-    kind: str = "unstructured",
     exchange: bool = True,
 ) -> ClientUpdateResult:
     """One local round: adopt the downloaded params through the client's own
     mask, train `epochs` epochs of masked SGD, derive candidate masks after the
     first and last epoch, and prune when the accuracy/target/drift gates pass.
+    A client whose mask keeps channel sets (`make_client(hybrid=True)`) also
+    prunes channels.
 
     Mutates the ClientState (params, mask, schedule) and returns the
     result the client would upload.
     """
-    if kind not in ("unstructured", "hybrid"):
-        raise ValueError(f"kind must be 'unstructured' or 'hybrid', got {kind!r}")
     if epochs < 2:
         raise ValueError("client updates need epochs >= 2 (distinct first/last epoch)")
     spec = client.spec
+    hybrid = client.mask.channel_keep is not None
     downlink_bits = (
         BITS_PER_SCALAR * retained_scalar_count(theta_g, client.mask) if exchange else 0
     )
@@ -193,19 +213,17 @@ def client_update(
                 raise TrainingDivergedError(client.client_id, round_index)
             sgd_step(params, grads, opt, client.mask)
         if epoch == 0:
-            first = _candidates(params, client, kind)
+            first = _candidates(params, client)
         if epoch == epochs - 1:
-            last = _candidates(params, client, kind)
+            last = _candidates(params, client)
 
     val_acc = evaluate_accuracy(spec, params, client.x_val, client.y_val)
     delta_us = mask_distance(first[0], last[0])
-    delta_s = mask_distance(first[1], last[1]) if kind == "hybrid" else 0.0
+    delta_s = mask_distance(first[1], last[1]) if hybrid else 0.0
     pruned_us = should_prune(val_acc, client.schedule, delta_us, "unstructured")
-    pruned_s = (
-        kind == "hybrid" and should_prune(val_acc, client.schedule, delta_s, "structured")
-    )
+    pruned_s = hybrid and should_prune(val_acc, client.schedule, delta_s, "structured")
 
-    if kind == "unstructured":
+    if not hybrid:
         if pruned_us:
             client.mask = last[0]
             client.schedule = advance_schedule(client.schedule, "unstructured")
@@ -242,6 +260,7 @@ def client_update(
         pruned_structured=pruned_s,
         uplink_bits=uplink_bits,
         downlink_bits=downlink_bits,
+        conv_flops=conv_flops(spec, client.mask.channel_keep).current_total,
     )
 
 
@@ -316,27 +335,9 @@ def map_clients(fn, items, parallelism: int = 1) -> list:
     return [fn(i) for i in items]
 
 
-@dataclass
-class ClientRoundRecord:
-    client_id: int
-    validation_accuracy: float
-    local_accuracy: float
-    served_accuracy: float
-    sparsity: float
-    sparsity_unstructured: float
-    sparsity_channel: float
-    delta_unstructured: float
-    delta_structured: float
-    pruned_unstructured: bool
-    pruned_structured: bool
-    uplink_bits: int
-    downlink_bits: int
-    conv_flops: int
-
-    def to_json_dict(self) -> dict:
-        row = asdict(self)
-        row["id"] = row.pop("client_id")  # the key rounds.ndjson has always used
-        return row
+def client_mean(clients: list[dict], key: str) -> float:
+    """Mean of one field over a round record's client entries."""
+    return float(np.mean([c[key] for c in clients]))
 
 
 @dataclass
@@ -344,56 +345,24 @@ class RoundReport:
     round_index: int
     algorithm: str
     selected: list[int]
-    clients: list[ClientRoundRecord]
-
-    def _mean(self, attr: str) -> float:
-        return float(np.mean([getattr(c, attr) for c in self.clients]))
-
-    @property
-    def mean_local_accuracy(self) -> float:
-        return self._mean("local_accuracy")
-
-    @property
-    def mean_served_accuracy(self) -> float:
-        return self._mean("served_accuracy")
-
-    @property
-    def mean_sparsity_unstructured(self) -> float:
-        return self._mean("sparsity_unstructured")
-
-    @property
-    def mean_sparsity_channel(self) -> float:
-        return self._mean("sparsity_channel")
-
-    @property
-    def mean_sparsity(self) -> float:
-        return self._mean("sparsity")
-
-    @property
-    def total_uplink_bits(self) -> int:
-        return sum(c.uplink_bits for c in self.clients)
-
-    @property
-    def total_downlink_bits(self) -> int:
-        return sum(c.downlink_bits for c in self.clients)
-
-    @property
-    def total_conv_flops(self) -> int:
-        return sum(c.conv_flops for c in self.clients)
+    clients: list[ClientUpdateResult]
 
     def to_json_dict(self) -> dict:
+        """The round record (one line of rounds.ndjson): the client entries,
+        with their means and totals."""
+        rows = [c.to_json_dict() for c in self.clients]
         return {
             "round": self.round_index,
             "algorithm": self.algorithm,
             "selected": list(self.selected),
-            "mean_local_accuracy": self.mean_local_accuracy,
-            "mean_served_accuracy": self.mean_served_accuracy,
-            "mean_sparsity_unstructured": self.mean_sparsity_unstructured,
-            "mean_sparsity_channel": self.mean_sparsity_channel,
-            "total_uplink_bits": self.total_uplink_bits,
-            "total_downlink_bits": self.total_downlink_bits,
-            "total_conv_flops": self.total_conv_flops,
-            "clients": [c.to_json_dict() for c in self.clients],
+            "mean_local_accuracy": client_mean(rows, "local_accuracy"),
+            "mean_served_accuracy": client_mean(rows, "served_accuracy"),
+            "mean_sparsity_unstructured": client_mean(rows, "sparsity_unstructured"),
+            "mean_sparsity_channel": client_mean(rows, "sparsity_channel"),
+            "total_uplink_bits": sum(c["uplink_bits"] for c in rows),
+            "total_downlink_bits": sum(c["downlink_bits"] for c in rows),
+            "total_conv_flops": sum(c["conv_flops"] for c in rows),
+            "clients": rows,
         }
 
 
@@ -414,18 +383,17 @@ def run_round(
     client update only touches its own state, and results fold in client-id
     order.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if algorithm not in ALGORITHM_CHOICES:
+        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHM_CHOICES}")
     round_index = server.round_index
     selected = sample_clients(server, round_index)
-    kind = "hybrid" if algorithm == "sub-fedavg-hy" else "unstructured"
     exchange = algorithm != "standalone"
 
     def work(cid: int) -> ClientUpdateResult:
         rng = np.random.default_rng((server.seed, round_index, cid))
         return client_update(
             clients[cid], server.params, epochs, batch_size,
-            rng=rng, round_index=round_index, kind=kind, exchange=exchange,
+            rng=rng, round_index=round_index, exchange=exchange,
         )
 
     results = map_clients(work, selected, parallelism)
@@ -447,23 +415,6 @@ def run_round(
         served = map_clients(serve, selected, parallelism)
     else:
         served = [r.local_accuracy for r in results]
-    rows = [
-        ClientRoundRecord(
-            client_id=r.client_id,
-            validation_accuracy=r.validation_accuracy,
-            local_accuracy=r.local_accuracy,
-            served_accuracy=acc,
-            sparsity=r.mask.sparsity(),
-            sparsity_unstructured=r.mask.covered_sparsity(),
-            sparsity_channel=r.mask.channel_sparsity(),
-            delta_unstructured=r.delta_unstructured,
-            delta_structured=r.delta_structured,
-            pruned_unstructured=r.pruned_unstructured,
-            pruned_structured=r.pruned_structured,
-            uplink_bits=r.uplink_bits,
-            downlink_bits=r.downlink_bits,
-            conv_flops=conv_flops(server.spec, r.mask.channel_keep).current_total,
-        )
-        for r, acc in zip(results, served)
-    ]
-    return RoundReport(round_index, algorithm, selected, rows)
+    for r, acc in zip(results, served):
+        r.served_accuracy = acc
+    return RoundReport(round_index, algorithm, selected, results)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,45 +68,3 @@ def conv_flops(spec: ModelSpec, keep_sets: dict[str, np.ndarray] | None = None) 
         current_total += current
         prev_kept = kept_out
     return FlopProfile(per_layer, dense_total, current_total)
-
-
-@dataclass
-class CostLedger:
-    """Per-round, per-client uplink/downlink bit counts for one experiment."""
-
-    bits_per_scalar: int = BITS_PER_SCALAR
-    bits_per_mask_position: int = BITS_PER_MASK_POSITION
-    rounds: list[dict[int, tuple[int, int]]] = field(default_factory=list)
-
-    def record_round(self, entries: dict[int, tuple[int, int]]) -> None:
-        for cid, (up, down) in entries.items():
-            if up < 0 or down < 0:
-                raise ValueError(f"negative bit count for client {cid}")
-        self.rounds.append(dict(entries))
-
-    def total_uplink_bits(self) -> int:
-        return sum(up for rnd in self.rounds for up, _ in rnd.values())
-
-    def total_downlink_bits(self) -> int:
-        return sum(down for rnd in self.rounds for _, down in rnd.values())
-
-    def total_bits(self) -> int:
-        return self.total_uplink_bits() + self.total_downlink_bits()
-
-    def total_bytes(self) -> float:
-        return self.total_bits() / 8
-
-    def client_total_bits(self, client_id: int) -> int:
-        return sum(sum(rnd[client_id]) for rnd in self.rounds if client_id in rnd)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bits_per_scalar": self.bits_per_scalar,
-            "bits_per_mask_position": self.bits_per_mask_position,
-            "total_uplink_bits": self.total_uplink_bits(),
-            "total_downlink_bits": self.total_downlink_bits(),
-            "total_bytes": self.total_bytes(),
-            "rounds": [
-                {str(cid): [up, down] for cid, (up, down) in rnd.items()} for rnd in self.rounds
-            ],
-        }

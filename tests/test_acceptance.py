@@ -153,7 +153,7 @@ class TestC03AggregationOracle:
                     validation_accuracy=0.0, local_accuracy=0.0,
                     delta_unstructured=0.0, delta_structured=0.0,
                     pruned_unstructured=False, pruned_structured=False,
-                    uplink_bits=0, downlink_bits=0,
+                    uplink_bits=0, downlink_bits=0, conv_flops=0,
                 ))
             out = aggregate_sub_fedavg(results, prev)[("fc1", "weight")]
             for q in range(size):

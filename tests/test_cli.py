@@ -32,6 +32,17 @@ class TestRunVerb:
         assert ledger["total_bytes"] == 0
         assert "run complete" in capsys.readouterr().out
 
+    def test_progress_line_text(self, tmp_path, capsys):
+        loud = [arg for arg in TINY if arg != "--quiet"]
+        code = main(["run", *loud, "--rounds", "1", "--algorithm", "sub-fedavg-hy",
+                     "--r-us", "20", "--r-s", "20", "--acc-th", "0", "--out", str(tmp_path)])
+        assert code == 0
+        (run_dir,) = run_dirs(tmp_path)
+        assert capsys.readouterr().out.splitlines() == [
+            "round    0  acc(local)  60.62  acc(served)  41.25  sparsity 0.200/0.042",
+            f"run complete: {run_dir}",
+        ]
+
     def test_artifacts_present(self, tmp_path):
         main(["run", *TINY, "--algorithm", "fedavg", "--out", str(tmp_path)])
         (run_dir,) = run_dirs(tmp_path)
@@ -137,6 +148,19 @@ class TestSmallVerbs:
         assert main(["flops", "--model", "lenet5-cifar", "--channel-prune", "50"]) == 0
         out = capsys.readouterr().out
         assert "reduction 2.5076x" in out
+
+    @pytest.mark.parametrize("percent, accepted", [
+        ("-50", False), ("100", False), ("250", False), ("nan", False),
+        ("0", True), ("50", True),
+    ])
+    def test_flops_channel_prune_range(self, capsys, percent, accepted):
+        code = main(["flops", "--model", "synth-cnn", "--channel-prune", percent])
+        out, err = capsys.readouterr()
+        if accepted:
+            assert code == 0 and "reduction" in out
+        else:
+            assert code == 1 and out == ""
+            assert "config error: --channel-prune: must lie in [0, 100)" in err
 
     def test_flops_dense(self, capsys):
         assert main(["flops", "--model", "cnn5-mnist"]) == 0

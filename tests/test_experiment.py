@@ -4,10 +4,9 @@ import os
 import pytest
 
 from subfed import experiment
-from subfed.config import parse_config
+from subfed.config import ALGORITHM_CHOICES, parse_config
 from subfed.engine import evaluate_accuracy
-from subfed.experiment import resolve_parallelism, run_experiment
-from subfed.federation import ALGORITHMS
+from subfed.experiment import resolve_parallelism, run_experiment, write_round_artifacts
 from subfed.pruning import apply_mask
 
 ARTIFACTS = (
@@ -50,7 +49,7 @@ class TestFinalTable:
     """client_accuracy.csv reuses round scores where the inputs are unchanged;
     every entry must still be what a fresh evaluation gives."""
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
     @pytest.mark.parametrize("sampling", ["few", "half"])
     def test_matches_fresh_evaluation(self, tmp_path, monkeypatch, algorithm, sampling):
         built = []
@@ -87,7 +86,7 @@ class TestFinalTable:
             assert float(row["served_accuracy"]) == served, row
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
 def test_artifacts_identical_across_parallelism(tmp_path, algorithm):
     runs = [
         run(tmp_path / str(workers), HALF_SAMPLED, algorithm=algorithm, parallelism=workers)
@@ -95,6 +94,29 @@ def test_artifacts_identical_across_parallelism(tmp_path, algorithm):
     ]
     for name in ARTIFACTS:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("algorithm, sampling_rate", [
+    ("sub-fedavg-un", 1.0), ("sub-fedavg-un", 0.5), ("sub-fedavg-hy", 0.5),
+])
+def test_round_artifacts_rebuild_from_records(tmp_path, algorithm, sampling_rate):
+    """summary.csv, both plot CSVs and cost_ledger.json are a projection of
+    the round records: rounds.ndjson and config.ini reproduce them."""
+    run_dir = run(tmp_path / "run", HALF_SAMPLED, algorithm=algorithm,
+                  sampling_rate=sampling_rate)
+    lines = (run_dir / "rounds.ndjson").read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    assert records[-1]["mean_sparsity_unstructured"] > 0.0  # the runs prune
+    if algorithm == "sub-fedavg-hy":
+        assert records[-1]["mean_sparsity_channel"] > 0.0
+    rebuilt = tmp_path / "rebuilt"
+    rebuilt.mkdir()
+    write_round_artifacts(rebuilt, parse_config(run_dir / "config.ini"), records)
+    derived = ("summary.csv", "plot_accuracy_vs_round.csv",
+               "plot_accuracy_vs_sparsity.csv", "cost_ledger.json")
+    assert sorted(p.name for p in rebuilt.iterdir()) == sorted(derived)
+    for name in derived:
+        assert (rebuilt / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 class TestResolveParallelism:

@@ -9,7 +9,7 @@ import pytest
 
 from subfed import engine as E
 from subfed.data import partition_shards, split_per_class, synth_dataset
-from subfed.engine import ModelSpec, ParamSet, builtin_spec, init_params
+from subfed.engine import ModelSpec, ParamSet, builtin_spec, evaluate_accuracy, init_params
 from subfed.federation import (
     ClientUpdateResult,
     ServerState,
@@ -23,6 +23,7 @@ from subfed.federation import (
     run_round,
     sample_clients,
 )
+from subfed.metrics import conv_flops
 from subfed.pruning import (
     PruneSchedule,
     SparsityMask,
@@ -48,7 +49,7 @@ def result_of(client_id, params, mask):
         validation_accuracy=0.0, local_accuracy=0.0,
         delta_unstructured=0.0, delta_structured=0.0,
         pruned_unstructured=False, pruned_structured=False,
-        uplink_bits=0, downlink_bits=0,
+        uplink_bits=0, downlink_bits=0, conv_flops=0,
     )
 
 
@@ -283,7 +284,7 @@ class TestClientUpdate:
         client = synthetic_client()
         with pytest.raises(ValueError, match="epochs"):
             client_update(
-                client, client.params, 1, 10, kind="unstructured", rng=np.random.default_rng(0)
+                client, client.params, 1, 10, rng=np.random.default_rng(0)
             )
 
     def test_drift_below_eps_means_no_prune(self):
@@ -294,7 +295,7 @@ class TestClientUpdate:
         )
         before = client.mask.copy()
         res = client_update(
-            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(1)
+            client, client.params, 2, 10, rng=np.random.default_rng(1)
         )
         assert not res.pruned_unstructured
         assert all(
@@ -310,7 +311,7 @@ class TestClientUpdate:
         for r in range(4):
             res = client_update(
                 client, client.params, 2, 10,
-                kind="unstructured", rng=np.random.default_rng((2, r)), round_index=r,
+                rng=np.random.default_rng((2, r)), round_index=r,
             )
             assert not res.pruned_unstructured
             zero_sets.append(client.mask.zero_count())
@@ -322,7 +323,7 @@ class TestClientUpdate:
             acc_threshold=0.0, eps_unstructured=0.0,
         )
         res = client_update(
-            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(3)
+            client, client.params, 2, 10, rng=np.random.default_rng(3)
         )
         assert res.pruned_unstructured
         governed = sum(client.mask.bits[k].size for k in client.mask.covered)
@@ -339,7 +340,7 @@ class TestClientUpdate:
             acc_threshold=101.0, eps_unstructured=0.0,
         )
         res = client_update(
-            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(4)
+            client, client.params, 2, 10, rng=np.random.default_rng(4)
         )
         assert not res.pruned_unstructured
         assert client.mask.zero_count() == 0
@@ -351,7 +352,7 @@ class TestClientUpdate:
         with pytest.raises(TrainingDivergedError) as err:
             client_update(
                 client, client.params, 2, 10,
-                kind="unstructured", rng=np.random.default_rng(5), round_index=7,
+                rng=np.random.default_rng(5), round_index=7,
             )
         assert err.value.client_id == 0
         assert err.value.round_index == 7
@@ -359,7 +360,7 @@ class TestClientUpdate:
     def test_uplink_accounting_dense(self):
         client = synthetic_client()
         res = client_update(
-            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(6)
+            client, client.params, 2, 10, rng=np.random.default_rng(6)
         )
         total = client.params.total_scalar_count()
         assert res.uplink_bits == 32 * total
@@ -371,7 +372,7 @@ class TestClientUpdate:
             acc_threshold=0.0, eps_unstructured=0.0,
         )
         res = client_update(
-            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(7)
+            client, client.params, 2, 10, rng=np.random.default_rng(7)
         )
         assert res.pruned_unstructured
         retained = retained_scalar_count(client.params, client.mask)
@@ -384,7 +385,7 @@ class TestClientUpdate:
             acc_threshold=0.0, eps_unstructured=0.0,
         )
         res = client_update(
-            client, client.params, 2, 10, kind="unstructured", rng=np.random.default_rng(12)
+            client, client.params, 2, 10, rng=np.random.default_rng(12)
         )
         assert res.pruned_unstructured
         assert client.mask.sparsity() > 1 / 32
@@ -405,7 +406,7 @@ class TestHybridUpdate:
     def test_both_kinds_fire_and_compose(self):
         client = self.hybrid_client()
         res = client_update(
-            client, client.params, 2, 10, kind="hybrid", rng=np.random.default_rng(8)
+            client, client.params, 2, 10, rng=np.random.default_rng(8)
         )
         assert res.pruned_unstructured and res.pruned_structured
         assert client.schedule.level_unstructured == 10.0
@@ -417,7 +418,7 @@ class TestHybridUpdate:
     def test_only_structured_fires(self):
         client = self.hybrid_client(eps_unstructured=2.0)  # blocks unstructured
         res = client_update(
-            client, client.params, 2, 10, kind="hybrid", rng=np.random.default_rng(9)
+            client, client.params, 2, 10, rng=np.random.default_rng(9)
         )
         assert res.pruned_structured and not res.pruned_unstructured
         assert client.mask.channel_sparsity() > 0.0
@@ -426,14 +427,14 @@ class TestHybridUpdate:
     def test_neither_fires_leaves_mask(self):
         client = self.hybrid_client(eps_unstructured=2.0, eps_structured=2.0)
         res = client_update(
-            client, client.params, 2, 10, kind="hybrid", rng=np.random.default_rng(10)
+            client, client.params, 2, 10, rng=np.random.default_rng(10)
         )
         assert not res.pruned_structured and not res.pruned_unstructured
         assert client.mask.zero_count() == 0
 
     def test_union_of_zero_sets_when_both_fire(self):
         client = self.hybrid_client()
-        client_update(client, client.params, 2, 10, kind="hybrid", rng=np.random.default_rng(11))
+        client_update(client, client.params, 2, 10, rng=np.random.default_rng(11))
         from subfed.pruning import channel_component, unstructured_component
 
         ch = channel_component(client.mask, client.params)
@@ -472,16 +473,46 @@ class TestRunRound:
     def test_standalone_keeps_global_and_zero_bytes(self):
         server, clients = build_population()
         before = server.params.copy()
-        report = run_round(server, clients, "standalone", epochs=2, batch_size=10)
+        record = run_round(server, clients, "standalone", epochs=2, batch_size=10).to_json_dict()
         assert all(np.array_equal(before[k], server.params[k]) for k in before.keys())
-        assert report.total_uplink_bits == 0
-        assert report.total_downlink_bits == 0
+        assert record["total_uplink_bits"] == 0
+        assert record["total_downlink_bits"] == 0
+        assert all(c["served_accuracy"] == c["local_accuracy"] for c in record["clients"])
 
     def test_fedavg_round_reports_zero_sparsity(self):
         server, clients = build_population()
-        report = run_round(server, clients, "fedavg", epochs=2, batch_size=10)
-        assert all(c.sparsity == 0.0 for c in report.clients)
-        assert report.mean_sparsity_unstructured == 0.0
+        record = run_round(server, clients, "fedavg", epochs=2, batch_size=10).to_json_dict()
+        assert all(c["sparsity"] == 0.0 for c in record["clients"])
+        assert record["mean_sparsity_unstructured"] == 0.0
+
+    def test_record_is_client_entries_with_means_and_totals(self):
+        server, clients = build_population(
+            algorithm="sub-fedavg-hy", rate_unstructured=20.0, rate_structured=20.0,
+            target_unstructured=40.0, target_structured=40.0, acc_threshold=0.0,
+            eps_unstructured=0.0, eps_structured=0.0,
+        )
+        record = run_round(server, clients, "sub-fedavg-hy", epochs=2, batch_size=10).to_json_dict()
+        rows = record["clients"]
+        assert [c["id"] for c in rows] == record["selected"] == [0, 1, 2, 3]
+        assert all(set(c) == {
+            "id", "validation_accuracy", "local_accuracy", "served_accuracy", "sparsity",
+            "sparsity_unstructured", "sparsity_channel", "delta_unstructured",
+            "delta_structured", "pruned_unstructured", "pruned_structured",
+            "uplink_bits", "downlink_bits", "conv_flops",
+        } for c in rows)
+        for cid, c in zip(record["selected"], rows):
+            mask = clients[cid].mask
+            assert c["sparsity_channel"] == mask.channel_sparsity() > 0.0
+            assert c["conv_flops"] == conv_flops(server.spec, mask.channel_keep).current_total
+            assert c["served_accuracy"] == evaluate_accuracy(
+                server.spec, apply_mask(server.params, mask),
+                clients[cid].x_eval, clients[cid].y_eval,
+            )
+        for key in ("local_accuracy", "served_accuracy", "sparsity_unstructured",
+                    "sparsity_channel"):
+            assert record[f"mean_{key}"] == float(np.mean([c[key] for c in rows]))
+        for key in ("uplink_bits", "downlink_bits", "conv_flops"):
+            assert record[f"total_{key}"] == sum(c[key] for c in rows)
 
     def test_round_deterministic(self):
         reports = []
@@ -521,7 +552,7 @@ class TestRunRound:
         snapshots = {cid: c.mask.copy() for cid, c in clients.items()}
         for _ in range(3):
             report = run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
-            assert not any(c.pruned_unstructured for c in report.clients)
+            assert not any(c["pruned_unstructured"] for c in report.to_json_dict()["clients"])
         for cid, client in clients.items():
             assert all(
                 np.array_equal(snapshots[cid].bits[k], client.mask.bits[k])

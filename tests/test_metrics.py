@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from subfed.engine import builtin_spec, init_params, walk_shapes, Conv
-from subfed.metrics import CostLedger, comm_cost_closed_form, conv_flops
+from subfed.metrics import comm_cost_closed_form, conv_flops
 from subfed.pruning import dense_mask, derive_channel_mask, derive_unstructured_mask
 
 
@@ -97,29 +97,3 @@ class TestParamReduction:
                 zeros = zeros | ~fc.bits[key]
             union += int(zeros.sum())
         assert combined.sparsity() == union / params.learnable_count()
-
-
-class TestLedger:
-    def test_totals_are_sums(self):
-        ledger = CostLedger()
-        ledger.record_round({0: (100, 200), 1: (10, 20)})
-        ledger.record_round({0: (1, 2)})
-        assert ledger.total_uplink_bits() == 111
-        assert ledger.total_downlink_bits() == 222
-        assert ledger.total_bits() == 333
-        assert ledger.total_bytes() == 333 / 8
-        assert ledger.client_total_bits(0) == 303
-        assert ledger.client_total_bits(1) == 30
-
-    def test_negative_rejected(self):
-        ledger = CostLedger()
-        with pytest.raises(ValueError):
-            ledger.record_round({0: (-1, 0)})
-
-    def test_json_dump_shape(self):
-        ledger = CostLedger()
-        ledger.record_round({3: (8, 16)})
-        payload = ledger.to_json_dict()
-        assert payload["bits_per_scalar"] == 32
-        assert payload["bits_per_mask_position"] == 1
-        assert payload["rounds"] == [{"3": [8, 16]}]
