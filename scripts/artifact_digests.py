@@ -2,12 +2,17 @@
 """sha256 of every byte-identical artifact of the benchmark workloads.
 
     python3 scripts/artifact_digests.py [--workload NAME ...] [--seed N ...]
-                                        [--parallelism P]
+                                        [--parallelism P] [--set KEY=VALUE ...]
 
 Runs each perfbench workload config (perfbench/workloads.py) for each seed
 into a temporary directory and prints one line per artifact:
 
-    <workload> seed=<n> parallelism=<p> <artifact> <sha256>
+    <workload> seed=<n> parallelism=<p> [KEY=VALUE ...] <artifact> <sha256>
+
+`--set` overrides one config key on top of the workload's config, for
+identity checks beyond the workloads (`--set aggregation=strict-intersection`,
+`--set algorithm=standalone`, `--set batch_size=3`). The value is read as
+the key's ExperimentConfig field type; an unknown key is a config error.
 
 Run it from the root of two checkouts and diff the outputs to show that a
 change keeps results byte-identical. config.ini is left out: it records the
@@ -20,6 +25,7 @@ import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -30,13 +36,28 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  perfbench/workloads.py
-from subfed.config import parse_config  # noqa: E402
+from subfed.config import ConfigError, ExperimentConfig, parse_config  # noqa: E402
 from subfed.experiment import run_experiment  # noqa: E402
 
 ARTIFACTS = (
     "summary.csv", "client_accuracy.csv", "cost_ledger.json", "rounds.ndjson",
     "plot_accuracy_vs_round.csv", "plot_accuracy_vs_sparsity.csv",
 )
+
+FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def config_setting(text: str) -> tuple[str, object]:
+    """KEY=VALUE, the value read as the key's field type (a string for a
+    key that is no field, which parse_config then rejects)."""
+    key, sep, raw = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    kind = {"int": int, "float": float}.get(FIELD_TYPES.get(key), str)
+    try:
+        return key, kind(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{key}: cannot read {raw!r} as {kind.__name__}")
 
 
 def main() -> int:
@@ -46,7 +67,11 @@ def main() -> int:
     ap.add_argument("--seed", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--parallelism", type=int,
                     help="override the workload's parallelism (0 = every usable CPU)")
+    ap.add_argument("--set", dest="settings", action="append", type=config_setting,
+                    default=[], metavar="KEY=VALUE",
+                    help="repeatable; override one config key of every workload")
     args = ap.parse_args()
+    echo = "".join(f" {key}={value}" for key, value in args.settings)
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.workload or sorted(workloads.WORKLOADS):
@@ -54,11 +79,16 @@ def main() -> int:
                 overrides = workloads.overrides(name, seed, tmp)
                 if args.parallelism is not None:
                     overrides["parallelism"] = args.parallelism
-                run_dir = run_experiment(parse_config(overrides=overrides))
+                overrides.update(args.settings)
+                try:
+                    cfg = parse_config(overrides=overrides)
+                except ConfigError as exc:
+                    ap.error(str(exc))
+                run_dir = run_experiment(cfg)
                 for artifact in ARTIFACTS:
                     sha = hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest()
-                    print(f"{name} seed={seed} parallelism={overrides['parallelism']} "
-                          f"{artifact} {sha}", flush=True)
+                    print(f"{name} seed={seed} parallelism={overrides['parallelism']}"
+                          f"{echo} {artifact} {sha}", flush=True)
     return 0
 
 

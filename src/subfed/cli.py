@@ -141,7 +141,10 @@ def cmd_flops(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    cost = comm_cost_closed_form(args.rounds, args.bits, args.params)
+    try:
+        cost = comm_cost_closed_form(args.rounds, args.bits, args.params)
+    except ValueError as exc:  # a negative argument, named as its flag is
+        raise ConfigError(f"--{exc}") from None
     print(f"bits: {cost.bits}")
     print(f"bytes: {cost.total_bytes}")
     print(f"MB: {cost.megabytes}")

@@ -9,7 +9,8 @@ and SGD with classical momentum. Everything is plain numpy so that a fixed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -170,54 +171,88 @@ def conv_channel_count(spec: ModelSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParamSet:
-    """Ordered (layer-name, role) -> tensor mapping for one model's parameters."""
+Key = tuple[str, str]
 
-    entries: dict[tuple[str, str], np.ndarray]
 
-    def __getitem__(self, key: tuple[str, str]) -> np.ndarray:
+class Layout:
+    """Where each (layer, role) tensor of a ParamSet sits in its flat vector:
+    the learnable tensors first, in key order, so they fill [0, n_learnable),
+    then the running statistics. `shapes` keeps the set's key order. Layouts
+    are equal when they put the same tensors, of the same shapes, at the
+    same offsets."""
+
+    def __init__(self, shapes: dict[Key, tuple[int, ...]]):
+        self.shapes, self.slots, self.size = shapes, {}, 0
+        for key in sorted(shapes, key=lambda k: k[1] not in LEARNABLE_ROLES):  # stable
+            self.slots[key] = slice(self.size, self.size + math.prod(shapes[key]))
+            self.size = self.slots[key].stop
+        self.n_learnable = sum(math.prod(s) for k, s in shapes.items() if k[1] in LEARNABLE_ROLES)
+        self.signature = tuple((key, shapes[key]) for key in self.slots)
+        self._positions: dict[tuple[Key, ...], np.ndarray] = {}
+
+    def __eq__(self, other) -> bool:
+        return self is other or self.signature == getattr(other, "signature", None)
+
+    def views(self, flat: np.ndarray) -> dict[Key, np.ndarray]:
+        return {key: flat[self.slots[key]].reshape(shape) for key, shape in self.shapes.items()}
+
+    def positions(self, keys: tuple[Key, ...]) -> np.ndarray:
+        """Flat positions of the tensors `keys`, tensor by tensor in that order."""
+        if keys not in self._positions:  # a race only computes the same array twice
+            ranges = [np.arange(self.slots[k].start, self.slots[k].stop) for k in keys]
+            self._positions[keys] = np.concatenate([np.arange(0), *ranges])
+        return self._positions[keys]
+
+
+class ParamSet(Mapping):
+    """One model's parameters: one contiguous vector, `flat`, laid out by
+    `layout`, read as a mapping of (layer, role) -> view of each tensor.
+    Keys, `items()` and `learnable_items()` come in key order;
+    `flat[:n_learnable]` holds every learnable scalar."""
+
+    def __init__(self, entries: dict[Key, np.ndarray]):
+        """Pack `entries`, copied, into one vector of their common dtype."""
+        values = [np.asarray(v) for v in entries.values()]
+        self.layout = Layout({key: v.shape for key, v in zip(entries, values)})
+        self.flat = np.empty(self.layout.size, np.result_type(*values) if values else np.float32)
+        self.entries = self.layout.views(self.flat)
+        for view, value in zip(self.entries.values(), values):
+            view[...] = value
+
+    @classmethod
+    def over(cls, layout: Layout, flat: np.ndarray) -> "ParamSet":
+        """The set viewing `flat`, not copied, through `layout`."""
+        params = cls.__new__(cls)
+        params.layout, params.flat, params.entries = layout, flat, layout.views(flat)
+        return params
+
+    def __getitem__(self, key: Key) -> np.ndarray:
         return self.entries[key]
 
-    def __contains__(self, key: tuple[str, str]) -> bool:
-        return key in self.entries
+    def __iter__(self) -> Iterator[Key]:
+        return iter(self.entries)
 
-    def keys(self):
-        return self.entries.keys()
-
-    def items(self):
-        return self.entries.items()
+    def __len__(self) -> int:
+        return len(self.entries)
 
     def copy(self) -> "ParamSet":
-        return ParamSet({k: v.copy() for k, v in self.entries.items()})
+        return ParamSet.over(self.layout, self.flat.copy())
 
-    def congruent_with(self, other: "ParamSet") -> bool:
-        if list(self.entries.keys()) != list(other.entries.keys()):
-            return False
-        return all(self.entries[k].shape == other.entries[k].shape for k in self.entries)
-
-    def learnable_items(self) -> Iterator[tuple[tuple[str, str], np.ndarray]]:
-        for key, value in self.entries.items():
-            if key[1] in LEARNABLE_ROLES:
-                yield key, value
-
-    def learnable_count(self) -> int:
-        return sum(v.size for k, v in self.learnable_items())
-
-    def total_scalar_count(self) -> int:
-        return sum(v.size for v in self.entries.values())
+    def learnable_items(self) -> Iterator[tuple[Key, np.ndarray]]:
+        return ((key, v) for key, v in self.entries.items() if key[1] in LEARNABLE_ROLES)
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet({k: np.zeros_like(v) for k, v in self.entries.items()})
+        return ParamSet.over(self.layout, np.zeros_like(self.flat))
 
 
 @dataclass
 class OptimizerState:
-    """SGD-with-momentum state; velocity buffers stay congruent with the params."""
+    """SGD-with-momentum state; the velocity is one vector over the params'
+    learnable positions."""
 
     learning_rate: float
     momentum: float = 0.0
-    velocity: ParamSet | None = None
+    velocity: np.ndarray | None = None
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -515,14 +550,15 @@ def backward(cache: ForwardCache, labels: np.ndarray):
         (i for i, (_, desc, _) in enumerate(records) if isinstance(desc, (Conv, Dense))),
         len(records),
     )
-    collected: dict[tuple[str, str], np.ndarray] = {}
+    # one buffer in the params' layout; running statistics keep zero grads
+    grads = ParamSet.over(params.layout, np.zeros_like(params.flat))
     for i in range(len(records) - 1, lowest - 1, -1):
         name, desc, rec = records[i]
         input_grad = i > lowest
         if isinstance(desc, Dense):
             x_in = rec
-            collected[(name, ROLE_WEIGHT)] = dx.T @ x_in
-            collected[(name, ROLE_BIAS)] = dx.sum(axis=0)
+            grads[(name, ROLE_WEIGHT)][...] = dx.T @ x_in
+            grads[(name, ROLE_BIAS)][...] = dx.sum(axis=0)
             if input_grad:
                 dx = dx @ params[(name, ROLE_WEIGHT)]
         elif isinstance(desc, Flatten):
@@ -536,43 +572,34 @@ def backward(cache: ForwardCache, labels: np.ndarray):
             x_shape, cols, bn_cache = rec
             if desc.batch_norm:
                 dx, dscale, dshift = _bn_backward(dx, bn_cache)
-                collected[(name, ROLE_BN_SCALE)] = dscale
-                collected[(name, ROLE_BN_SHIFT)] = dshift
+                grads[(name, ROLE_BN_SCALE)][...] = dscale
+                grads[(name, ROLE_BN_SHIFT)][...] = dshift
             dx, dw, db = _conv_backward(
                 dx, cols, params[(name, ROLE_WEIGHT)], x_shape, input_grad
             )
-            collected[(name, ROLE_WEIGHT)] = dw
-            collected[(name, ROLE_BIAS)] = db
-    # grads keep param order; running stats carry zero grads (not learnable)
-    grads = ParamSet(
-        {k: collected[k] if k[1] in LEARNABLE_ROLES else np.zeros_like(v)
-         for k, v in params.items()}
-    )
+            grads[(name, ROLE_WEIGHT)][...] = dw
+            grads[(name, ROLE_BIAS)][...] = db
     return loss, grads
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, opt: OptimizerState, mask=None) -> ParamSet:
-    """Classical momentum update v <- mu*v + g, theta <- theta - lr*v, in place.
+    """Classical momentum update v <- mu*v + g, theta <- theta - lr*v, in place,
+    over the learnable part of the flat vector.
 
     With a mask, gradients are zeroed at pruned positions and the parameters and
     velocity are re-masked so pruned positions stay exactly 0 after the step.
     """
+    n = params.layout.n_learnable
+    p, g = params.flat[:n], grads.flat[:n]
     if opt.velocity is None:
-        opt.velocity = ParamSet(
-            {k: np.zeros_like(v) for k, v in params.items() if k[1] in LEARNABLE_ROLES}
-        )
-    bits = mask.bits if mask is not None else None
-    for key, p in params.learnable_items():
-        g = grads[key]
-        if bits is not None:
-            g = g * bits[key]
-        v = opt.velocity[key]
-        v *= p.dtype.type(opt.momentum)
-        v += g
-        p -= p.dtype.type(opt.learning_rate) * v
-        if bits is not None:
-            p *= bits[key]
-            v *= bits[key]
+        opt.velocity = np.zeros_like(p)
+    v = opt.velocity
+    keep = True if mask is None else mask.flat[:n]  # x * True is x, bit for bit
+    v *= p.dtype.type(opt.momentum)
+    v += g * keep
+    p -= p.dtype.type(opt.learning_rate) * v
+    p *= keep
+    v *= keep
     return params
 
 

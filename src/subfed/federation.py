@@ -26,6 +26,7 @@ from .engine import (
 )
 from .metrics import BITS_PER_SCALAR, conv_flops
 from .pruning import (
+    MaskCongruenceError,
     PruneSchedule,
     SparsityMask,
     advance_schedule,
@@ -141,7 +142,9 @@ def make_client(
 def retained_scalar_count(params: ParamSet, mask: SparsityMask) -> int:
     """Scalars a client exchanges: kept learnables plus running statistics of
     kept channels."""
-    return sum(int(mask.keep(key, value.shape).sum()) for key, value in params.items())
+    if mask.layout != params.layout:
+        raise MaskCongruenceError("mask incongruent with params")
+    return int(np.count_nonzero(mask.flat))
 
 
 def sample_size(n: int, sampling_rate: float) -> int:
@@ -223,21 +226,18 @@ def client_update(
     pruned_us = should_prune(val_acc, client.schedule, delta_us, "unstructured")
     pruned_s = hybrid and should_prune(val_acc, client.schedule, delta_s, "structured")
 
-    if not hybrid:
-        if pruned_us:
-            client.mask = last[0]
-            client.schedule = advance_schedule(client.schedule, "unstructured")
-            params = apply_mask(params, client.mask)
-    else:
-        if pruned_us or pruned_s:
+    if pruned_us or pruned_s:
+        if hybrid:
             ch_part = last[1] if pruned_s else channel_component(client.mask, params)
             fc_part = last[0] if pruned_us else unstructured_component(client.mask, params)
             client.mask = combine_masks(ch_part, fc_part, params)
-            if pruned_s:
-                client.schedule = advance_schedule(client.schedule, "structured")
-            if pruned_us:
-                client.schedule = advance_schedule(client.schedule, "unstructured")
-            params = apply_mask(params, client.mask)
+        else:
+            client.mask = last[0]
+        if pruned_s:
+            client.schedule = advance_schedule(client.schedule, "structured")
+        if pruned_us:
+            client.schedule = advance_schedule(client.schedule, "unstructured")
+        params = apply_mask(params, client.mask)
 
     local_acc = evaluate_accuracy(spec, params, client.x_eval, client.y_eval)
     client.params = params
@@ -276,22 +276,18 @@ def _fold_mean(results, template: ParamSet, fallback: ParamSet | None,
     kept by too few clients (none, or not all when `strict`) keep its value."""
     rs = sorted(results, key=lambda r: r.client_id)
     for r in rs:
-        if not r.params.congruent_with(template):
+        if r.params.layout != template.layout:
             raise ValueError(f"client {r.client_id} params incongruent with the global model")
-    out = {}
-    n = len(rs)
-    for key, ref in template.items():
-        acc = np.zeros(ref.shape, dtype=np.float64)
-        cnt = np.zeros(ref.shape, dtype=np.int64)
-        for r in rs:  # ascending client-id: summation order is fixed
-            keep = True if fallback is None else r.mask.keep(key, ref.shape)
-            acc += r.params[key] * keep
-            cnt += keep
-        mean = (acc / np.maximum(cnt, 1)).astype(ref.dtype)
-        kept = (cnt == n) if strict else (cnt > 0)
-        prev = fallback[key] if fallback is not None else ref
-        out[key] = np.where(kept, mean, prev)
-    return ParamSet(out)
+    acc = np.zeros(template.flat.size, dtype=np.float64)
+    cnt = np.zeros(template.flat.size, dtype=np.int64)
+    for r in rs:  # ascending client-id: summation order is fixed
+        keep = True if fallback is None else r.mask.flat
+        acc += r.params.flat * keep
+        cnt += keep
+    mean = (acc / np.maximum(cnt, 1)).astype(template.flat.dtype)
+    kept = (cnt == len(rs)) if strict else (cnt > 0)
+    prev = template if fallback is None else fallback
+    return ParamSet.over(template.layout, np.where(kept, mean, prev.flat))
 
 
 def aggregate_sub_fedavg(results, theta_g_prev: ParamSet,

@@ -1,11 +1,10 @@
 """Subnetwork masks: magnitude pruning, BN-scale channel pruning, schedules.
 
-A SparsityMask carries a bitmap for every learnable tensor plus an optional
-per-conv-layer channel keep-set. The unstructured part governs only the
-`covered` entries; channel removal propagates zeros over the channel's filter,
-bias, BN scale/shift and the next conv layer's matching input slices.
-`SparsityMask.keep` is the one rule for which positions of any tensor a
-client keeps; masking, exchange counting and aggregation all read it.
+A SparsityMask is one bool vector laid out like its params (`engine.Layout`):
+the bitmap at each learnable position, the owning channel's keep bit (or 1)
+at each running statistic. Masking, exchange counting and aggregation are
+elementwise operations on it. A pruned channel zeroes its filter, bias, BN
+parameters and running statistics, and the next conv layer's input slices.
 """
 
 from __future__ import annotations
@@ -17,72 +16,67 @@ from typing import Iterable
 import numpy as np
 
 from .engine import (
-    LEARNABLE_ROLES,
+    RUNNING_ROLES,
     ROLE_BIAS,
     ROLE_BN_SCALE,
-    ROLE_BN_SHIFT,
     ROLE_WEIGHT,
+    Key,
     ParamSet,
 )
-
-Key = tuple[str, str]
 
 
 class MaskCongruenceError(ValueError):
     """Masks/params with mismatched entries or shapes."""
 
 
-@dataclass
 class SparsityMask:
-    bits: dict[Key, np.ndarray]              # bool, one per learnable entry
-    covered: tuple[Key, ...]                 # entries governed by the unstructured part
-    channel_keep: dict[str, np.ndarray] | None = None  # conv layer -> bool per out-channel
+    """The positions a client keeps, as one bool vector `flat` in its params'
+    `layout`; `bits` views the learnable tensors by key. `covered` names the
+    tensors the unstructured part governs; `channel_keep` maps each conv
+    layer to a bool per out-channel, or is None."""
 
-    def keep(self, key: Key, shape: tuple[int, ...]) -> np.ndarray:
-        """Bool array, broadcastable to `shape`, of the positions of tensor
-        `key` this mask keeps: the bitmap of a learnable tensor, the channel
-        keep-set for a running statistic of a channel-masked conv layer, and
-        every position of any other tensor."""
-        if key[1] in LEARNABLE_ROLES:
-            return self.bits[key]
-        if self.channel_keep is not None and key[0] in self.channel_keep:
-            return self.channel_keep[key[0]]
-        return np.ones(shape, dtype=bool)
+    def __init__(self, bits: ParamSet | dict[Key, np.ndarray], covered: Iterable[Key],
+                 channel_keep: dict[str, np.ndarray] | None = None):
+        """`bits` is a bool ParamSet laid out like the params, or a dict of
+        the learnable bitmaps; from a dict, the running statistics of each
+        BN layer take the layer's channel keep bits, or 1."""
+        if not isinstance(bits, ParamSet):
+            ones = {n: np.ones(b.shape, dtype=bool)
+                    for (n, r), b in bits.items() if r == ROLE_BN_SCALE}
+            keep = {**ones, **(channel_keep or {})}
+            bits = ParamSet({**bits, **{(n, r): keep[n] for n in ones for r in RUNNING_ROLES}})
+        self.layout, self.flat = bits.layout, bits.flat
+        self.bits = dict(bits.learnable_items())
+        self.covered = tuple(covered)
+        self.channel_keep = channel_keep
 
     def bit_length(self) -> int:
-        return sum(b.size for b in self.bits.values())
+        return self.layout.n_learnable
 
     def zero_count(self) -> int:
-        return sum(int((~b).sum()) for b in self.bits.values())
+        return self.bit_length() - int(np.count_nonzero(self.flat[:self.bit_length()]))
 
     def sparsity(self) -> float:
         """Zeroed fraction of the whole learnable bitmap."""
-        total = self.bit_length()
-        return self.zero_count() / total if total else 0.0
+        return _zero_fraction(self.flat[:self.bit_length()])
 
     def covered_sparsity(self) -> float:
         """Zeroed fraction of the unstructured governed domain."""
-        total = sum(self.bits[k].size for k in self.covered)
-        if total == 0:
-            return 0.0
-        zeros = sum(int((~self.bits[k]).sum()) for k in self.covered)
-        return zeros / total
+        return _zero_fraction(self.flat[self.layout.positions(self.covered)])
 
     def channel_sparsity(self) -> float:
-        if not self.channel_keep:
-            return 0.0
-        total = sum(k.size for k in self.channel_keep.values())
-        kept = sum(int(k.sum()) for k in self.channel_keep.values())
-        return (total - kept) / total if total else 0.0
+        channels = (self.channel_keep or {}).values()
+        return _zero_fraction(np.concatenate([np.ones(0, dtype=bool), *channels]))
 
     def copy(self) -> "SparsityMask":
-        return SparsityMask(
-            {k: v.copy() for k, v in self.bits.items()},
-            self.covered,
-            None
-            if self.channel_keep is None
-            else {n: v.copy() for n, v in self.channel_keep.items()},
-        )
+        keep = None
+        if self.channel_keep is not None:
+            keep = {n: v.copy() for n, v in self.channel_keep.items()}
+        return SparsityMask(ParamSet.over(self.layout, self.flat.copy()), self.covered, keep)
+
+
+def _zero_fraction(bits: np.ndarray) -> float:
+    return (bits.size - int(np.count_nonzero(bits))) / bits.size if bits.size else 0.0
 
 
 def _conv_layers(params: ParamSet) -> list[str]:
@@ -103,24 +97,26 @@ def fc_coverage(params: ParamSet) -> tuple[Key, ...]:
     )
 
 
-def _ones_bits(params: ParamSet) -> dict[Key, np.ndarray]:
-    return {k: np.ones(v.shape, dtype=bool) for k, v in params.learnable_items()}
+def _all_kept(params: ParamSet) -> ParamSet:
+    """A bool set in the params' layout, every position kept."""
+    return ParamSet.over(params.layout, np.ones(params.layout.size, dtype=bool))
 
 
-def _propagate_channels(
-    bits: dict[Key, np.ndarray], params: ParamSet, channel_keep: dict[str, np.ndarray]
-) -> None:
+def _channel_mask(params: ParamSet, channel_keep: dict[str, np.ndarray],
+                  covered: tuple[Key, ...] = ()) -> SparsityMask:
+    """The mask keeping every position but those of pruned channels: their
+    filter, bias, BN parameters and running statistics, and the next conv
+    layer's input slices. Holds a copy of `channel_keep`."""
+    kept = _all_kept(params)
     convs = _conv_layers(params)
     for i, layer in enumerate(convs):
         keep = channel_keep[layer]
         pruned = ~keep
         if not pruned.any():
             continue
-        bits[(layer, ROLE_WEIGHT)][pruned] = False
-        bits[(layer, ROLE_BIAS)][pruned] = False
-        if (layer, ROLE_BN_SCALE) in bits:
-            bits[(layer, ROLE_BN_SCALE)][pruned] = False
-            bits[(layer, ROLE_BN_SHIFT)][pruned] = False
+        for key, bits in kept.items():
+            if key[0] == layer:  # every tensor of a conv layer is out-channel first
+                bits[pruned] = False
         if i + 1 < len(convs):
             nxt = (convs[i + 1], ROLE_WEIGHT)
             if params[nxt].shape[1] != keep.size:
@@ -128,20 +124,22 @@ def _propagate_channels(
                     f"{convs[i + 1]}: input channels {params[nxt].shape[1]} do not follow "
                     f"{layer} output channels {keep.size}"
                 )
-            bits[nxt][:, pruned] = False
+            kept[nxt][:, pruned] = False
+    return SparsityMask(kept, covered, {n: v.copy() for n, v in channel_keep.items()})
+
+
+def _all_channels(params: ParamSet) -> dict[str, np.ndarray]:
+    return {layer: np.ones(params[(layer, ROLE_BIAS)].size, dtype=bool)
+            for layer in _conv_layers(params)}
 
 
 def dense_mask(params: ParamSet, covered: Iterable[Key] | None = None,
                with_channels: bool = False) -> SparsityMask:
     """All-ones mask; starting point for every client."""
     covered = tuple(covered) if covered is not None else full_coverage(params)
-    keep = None
     if with_channels:
-        keep = {
-            layer: np.ones(params[(layer, ROLE_BIAS)].size, dtype=bool)
-            for layer in _conv_layers(params)
-        }
-    return SparsityMask(_ones_bits(params), covered, keep)
+        return _channel_mask(params, _all_channels(params), covered)
+    return SparsityMask(_all_kept(params), covered)
 
 
 def _lamp_scores(values: np.ndarray) -> np.ndarray:
@@ -181,22 +179,18 @@ def derive_unstructured_mask(
     for key in covered:
         if key not in params:
             raise MaskCongruenceError(f"covered entry {key} not in params")
-    bits = _ones_bits(params)
-    sizes = [params[k].size for k in covered]
-    n_dense = int(sum(sizes))
-    k = int(math.floor(fraction * n_dense / 100 + 1e-9))
+    kept = _all_kept(params)
+    domain = params.layout.positions(covered)
+    k = int(math.floor(fraction * domain.size / 100 + 1e-9))
     if k > 0:
         pooled = np.concatenate([_lamp_scores(params[key]) for key in covered])
         # the k lowest scores, ties at the k-th score taken by ascending index
         kth = np.partition(pooled, k - 1)[k - 1]
-        flat = pooled > kth
+        keep = pooled > kth
         ties = np.flatnonzero(pooled == kth)
-        flat[ties[k - int((pooled < kth).sum()):]] = True
-        offset = 0
-        for key, size in zip(covered, sizes):
-            bits[key] = flat[offset:offset + size].reshape(params[key].shape)
-            offset += size
-    return SparsityMask(bits, covered, None)
+        keep[ties[k - int((pooled < kth).sum()):]] = True
+        kept.flat[domain] = keep
+    return SparsityMask(kept, covered, None)
 
 
 def derive_channel_mask(params: ParamSet, fraction: float) -> SparsityMask:
@@ -211,15 +205,10 @@ def derive_channel_mask(params: ParamSet, fraction: float) -> SparsityMask:
     bn_layers = [c for c in convs if (c, ROLE_BN_SCALE) in params]
     if not bn_layers:
         raise MaskCongruenceError("channel pruning needs at least one BN layer")
-    channel_keep = {
-        layer: np.ones(params[(layer, ROLE_BIAS)].size, dtype=bool) for layer in convs
-    }
+    channel_keep = _all_channels(params)
     scales = np.concatenate([np.abs(params[(c, ROLE_BN_SCALE)]) for c in bn_layers])
-    owners = [
-        (layer, idx)
-        for layer in bn_layers
-        for idx in range(params[(layer, ROLE_BN_SCALE)].size)
-    ]
+    owners = [(layer, idx) for layer in bn_layers
+              for idx in range(params[(layer, ROLE_BN_SCALE)].size)]
     total = scales.size
     k = int(math.floor(fraction * total / 100 + 1e-9))
     remaining = {layer: int(channel_keep[layer].sum()) for layer in bn_layers}
@@ -233,9 +222,7 @@ def derive_channel_mask(params: ParamSet, fraction: float) -> SparsityMask:
         channel_keep[layer][idx] = False
         remaining[layer] -= 1
         pruned += 1
-    bits = _ones_bits(params)
-    _propagate_channels(bits, params, channel_keep)
-    return SparsityMask(bits, (), channel_keep)
+    return _channel_mask(params, channel_keep)
 
 
 def combine_masks(channel_part: SparsityMask, unstructured_part: SparsityMask,
@@ -243,32 +230,25 @@ def combine_masks(channel_part: SparsityMask, unstructured_part: SparsityMask,
     """Hybrid composition: channel-induced zeros AND the unstructured bitmap."""
     if channel_part.channel_keep is None:
         raise MaskCongruenceError("first argument must carry a channel keep-set")
-    bits = _ones_bits(params)
-    _propagate_channels(bits, params, channel_part.channel_keep)
-    for key in unstructured_part.covered:
-        bits[key] &= unstructured_part.bits[key]
-    return SparsityMask(
-        bits,
-        unstructured_part.covered,
-        {n: v.copy() for n, v in channel_part.channel_keep.items()},
-    )
+    mask = _channel_mask(params, channel_part.channel_keep, unstructured_part.covered)
+    domain = params.layout.positions(unstructured_part.covered)
+    mask.flat[domain] &= unstructured_part.flat[domain]
+    return mask
 
 
 def channel_component(mask: SparsityMask, params: ParamSet) -> SparsityMask:
     """The structured part of a (possibly combined) mask, rebuilt standalone."""
     if mask.channel_keep is None:
         raise MaskCongruenceError("mask has no channel part")
-    bits = _ones_bits(params)
-    _propagate_channels(bits, params, mask.channel_keep)
-    return SparsityMask(bits, (), {n: v.copy() for n, v in mask.channel_keep.items()})
+    return _channel_mask(params, mask.channel_keep)
 
 
 def unstructured_component(mask: SparsityMask, params: ParamSet) -> SparsityMask:
     """The unstructured part of a (possibly combined) mask, rebuilt standalone."""
-    bits = _ones_bits(params)
-    for key in mask.covered:
-        bits[key] = mask.bits[key].copy()
-    return SparsityMask(bits, mask.covered, None)
+    kept = _all_kept(params)
+    domain = params.layout.positions(mask.covered)
+    kept.flat[domain] = mask.flat[domain]
+    return SparsityMask(kept, mask.covered, None)
 
 
 def mask_distance(a: SparsityMask, b: SparsityMask) -> float:
@@ -277,42 +257,28 @@ def mask_distance(a: SparsityMask, b: SparsityMask) -> float:
     Unstructured masks compare their covered bitmaps; channel masks compare
     their keep-sets over the total channel count.
     """
+    if a.layout != b.layout:
+        raise MaskCongruenceError("masks lay out different params")
     if a.covered or b.covered:
         if a.covered != b.covered:
             raise MaskCongruenceError("masks govern different unstructured domains")
-        total = 0
-        diff = 0
-        for key in a.covered:
-            if a.bits[key].shape != b.bits[key].shape:
-                raise MaskCongruenceError(f"bitmap shapes differ at {key}")
-            total += a.bits[key].size
-            diff += int((a.bits[key] != b.bits[key]).sum())
-        return diff / total
+        domain = a.layout.positions(a.covered)
+        return int(np.count_nonzero(a.flat[domain] != b.flat[domain])) / domain.size
     if a.channel_keep is not None and b.channel_keep is not None:
         if list(a.channel_keep.keys()) != list(b.channel_keep.keys()):
             raise MaskCongruenceError("masks cover different conv layers")
-        total = 0
-        diff = 0
-        for layer in a.channel_keep:
-            if a.channel_keep[layer].shape != b.channel_keep[layer].shape:
-                raise MaskCongruenceError(f"channel counts differ at {layer}")
-            total += a.channel_keep[layer].size
-            diff += int((a.channel_keep[layer] != b.channel_keep[layer]).sum())
-        return diff / total
+        keep_a = np.concatenate(list(a.channel_keep.values()))
+        keep_b = np.concatenate(list(b.channel_keep.values()))
+        return int(np.count_nonzero(keep_a != keep_b)) / keep_a.size
     raise MaskCongruenceError("masks govern no common domain")
 
 
 def apply_mask(params: ParamSet, mask: SparsityMask) -> ParamSet:
     """Elementwise product; pruned positions (and pruned channels' running
     statistics) become exactly 0. Returns a new ParamSet."""
-    entries = {}
-    for key, value in params.items():
-        if key[1] in LEARNABLE_ROLES and (
-            key not in mask.bits or mask.bits[key].shape != value.shape
-        ):
-            raise MaskCongruenceError(f"mask incongruent with params at {key}")
-        entries[key] = value * mask.keep(key, value.shape)
-    return ParamSet(entries)
+    if mask.layout != params.layout:
+        raise MaskCongruenceError("mask incongruent with params")
+    return ParamSet.over(params.layout, params.flat * mask.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -374,5 +340,4 @@ def should_prune(accuracy: float, schedule: PruneSchedule, delta: float, kind: s
 
 
 def advance_schedule(schedule: PruneSchedule, kind: str) -> PruneSchedule:
-    new_level = min(schedule.level(kind) + schedule.rate(kind), schedule.target(kind))
-    return replace(schedule, **{f"level_{kind}": new_level})
+    return replace(schedule, **{f"level_{kind}": schedule.next_fraction(kind)})

@@ -228,3 +228,69 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal dtype, shape and bytes: tells -0.0 from 0.0 and matches NaN payloads."""
     return (a.dtype == b.dtype and a.shape == b.shape
             and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# Reference per-tensor masking, SGD and aggregation: the dict-of-tensors
+# formulations the flat-vector versions must match bit for bit (their
+# congruence checks left out)
+# ---------------------------------------------------------------------------
+
+
+def reference_keep(mask, key, shape):
+    """Bool array, broadcastable to `shape`, of the positions of tensor
+    `key` the mask keeps: the bitmap of a learnable tensor, the channel
+    keep-set for a running statistic of a channel-masked conv layer, and
+    every position of any other tensor."""
+    if key[1] in E.LEARNABLE_ROLES:
+        return mask.bits[key]
+    if mask.channel_keep is not None and key[0] in mask.channel_keep:
+        return mask.channel_keep[key[0]]
+    return np.ones(shape, dtype=bool)
+
+
+def reference_apply_mask(params: ParamSet, mask) -> ParamSet:
+    entries = {}
+    for key, value in params.items():
+        entries[key] = value * reference_keep(mask, key, value.shape)
+    return ParamSet(entries)
+
+
+def reference_sgd_step(params: ParamSet, grads: ParamSet, opt, mask=None) -> ParamSet:
+    """Per-tensor momentum step; keeps its velocity as a ParamSet in `opt`."""
+    if opt.velocity is None:
+        opt.velocity = ParamSet(
+            {k: np.zeros_like(v) for k, v in params.items() if k[1] in E.LEARNABLE_ROLES}
+        )
+    bits = mask.bits if mask is not None else None
+    for key, p in params.learnable_items():
+        g = grads[key]
+        if bits is not None:
+            g = g * bits[key]
+        v = opt.velocity[key]
+        v *= p.dtype.type(opt.momentum)
+        v += g
+        p -= p.dtype.type(opt.learning_rate) * v
+        if bits is not None:
+            p *= bits[key]
+            v *= bits[key]
+    return params
+
+
+def reference_fold_mean(results, template: ParamSet, fallback: ParamSet | None,
+                        strict: bool) -> ParamSet:
+    rs = sorted(results, key=lambda r: r.client_id)
+    out = {}
+    n = len(rs)
+    for key, ref in template.items():
+        acc = np.zeros(ref.shape, dtype=np.float64)
+        cnt = np.zeros(ref.shape, dtype=np.int64)
+        for r in rs:  # ascending client-id: summation order is fixed
+            keep = True if fallback is None else reference_keep(r.mask, key, ref.shape)
+            acc += r.params[key] * keep
+            cnt += keep
+        mean = (acc / np.maximum(cnt, 1)).astype(ref.dtype)
+        kept = (cnt == n) if strict else (cnt > 0)
+        prev = fallback[key] if fallback is not None else ref
+        out[key] = np.where(kept, mean, prev)
+    return ParamSet(out)

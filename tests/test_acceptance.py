@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The personalization benchmark (criteria 7-10) trains
-3 algorithms x 3 seeds at desk scale and takes a few minutes of CPU.
+3 algorithms x 3 seeds at desk scale and takes a few minutes of CPU; those
+tests carry the `slow` marker, so `pytest -m "not slow"` leaves them out.
 """
 
 import json
@@ -184,7 +185,7 @@ class TestC04ClosedFormCost:
         ))
         run_dir = run_experiment(cfg)
         ledger = json.loads((run_dir / "cost_ledger.json").read_text())
-        w = init_params(builtin_spec("synth-cnn"), 5).total_scalar_count()
+        w = init_params(builtin_spec("synth-cnn"), 5).flat.size
         per_client = comm_cost_closed_form(3, 32, w)
         for cid in range(4):
             client_bits = sum(
@@ -250,6 +251,7 @@ class TestC06NonIidSeverity:
               f"labels per client = {median} <= 4")
 
 
+@pytest.mark.slow
 class TestC07PersonalizationBenefit:
     def test_margins_over_baselines(self, benchmark_runs):
         finals = {"sub-fedavg-un": [], "fedavg": [], "standalone": []}
@@ -267,6 +269,7 @@ class TestC07PersonalizationBenefit:
               f"standalone {sta:.2f}")
 
 
+@pytest.mark.slow
 class TestC08AccuracyVsSparsityShape:
     def test_rise_then_fall(self, benchmark_runs):
         checked = 0
@@ -289,6 +292,7 @@ class TestC08AccuracyVsSparsityShape:
               "and accuracy at >=90% sparsity sits below its own peak, all seeds")
 
 
+@pytest.mark.slow
 class TestC09MaskLifecycle:
     def test_audit_round_reports(self, benchmark_runs):
         audited = 0
@@ -314,6 +318,7 @@ class TestC09MaskLifecycle:
               f"({audited} client-round records)")
 
 
+@pytest.mark.slow
 class TestC10Determinism:
     def test_byte_identical_rerun_across_parallelism(self, benchmark_runs, tmp_path):
         seed = BENCHMARK_SEEDS[0]

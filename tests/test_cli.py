@@ -144,6 +144,19 @@ class TestSmallVerbs:
         out = capsys.readouterr().out
         assert "MB: 524.16" in out
 
+    @pytest.mark.parametrize("flag", ["--rounds", "--bits", "--params"])
+    def test_cost_rejects_negative_arguments(self, capsys, flag):
+        args = {"--rounds": "10", "--bits": "32", "--params": "10"}
+        args[flag] = "-1"
+        code = main(["cost", *(item for pair in args.items() for item in pair)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert f"config error: {flag} must be non-negative, got -1" in err
+
+    def test_cost_accepts_zero(self, capsys):
+        assert main(["cost", "--rounds", "0", "--bits", "0", "--params", "0"]) == 0
+        assert "bits: 0" in capsys.readouterr().out
+
     def test_flops_lenet_half(self, capsys):
         assert main(["flops", "--model", "lenet5-cifar", "--channel-prune", "50"]) == 0
         out = capsys.readouterr().out

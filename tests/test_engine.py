@@ -31,7 +31,7 @@ class TestParamCounts:
     def test_cnn5_counts_match_published_architecture(self):
         spec = builtin_spec("cnn5-mnist")
         params = init_params(spec, seed=7)
-        assert params.learnable_count() == 30900
+        assert params.layout.n_learnable == 30900
         assert conv_channel_count(spec) == 30
 
     def test_cnn5_layer_structure(self):
@@ -45,7 +45,7 @@ class TestParamCounts:
         spec = builtin_spec("lenet5-cifar")
         params = init_params(spec, seed=0)
         # published figure rounds the 62006 weight+bias count to 62k; BN adds 44
-        assert params.learnable_count() == 62050
+        assert params.layout.n_learnable == 62050
         sans_bn = sum(v.size for k, v in params.items() if k[1] in ("weight", "bias"))
         assert sans_bn == 62006
         assert round(sans_bn, -3) == 62000

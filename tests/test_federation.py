@@ -362,7 +362,7 @@ class TestClientUpdate:
         res = client_update(
             client, client.params, 2, 10, rng=np.random.default_rng(6)
         )
-        total = client.params.total_scalar_count()
+        total = client.params.flat.size
         assert res.uplink_bits == 32 * total
         assert res.downlink_bits == 32 * total
 
@@ -389,7 +389,7 @@ class TestClientUpdate:
         )
         assert res.pruned_unstructured
         assert client.mask.sparsity() > 1 / 32
-        dense_bits = 32 * client.params.total_scalar_count()
+        dense_bits = 32 * client.params.flat.size
         assert res.uplink_bits < dense_bits
 
 

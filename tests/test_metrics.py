@@ -79,7 +79,7 @@ class TestParamReduction:
     def test_thirty_percent_target(self):
         params = init_params(builtin_spec("cnn5-mnist"), 0)
         mask = derive_unstructured_mask(params, 30)
-        dense = params.learnable_count()
+        dense = params.layout.n_learnable
         assert mask.sparsity() == pytest.approx(0.30, abs=1.0 / dense + 0.004)
 
     def test_hybrid_counts_zeros_once(self):
@@ -96,4 +96,4 @@ class TestParamReduction:
             if key in fc.covered:
                 zeros = zeros | ~fc.bits[key]
             union += int(zeros.sum())
-        assert combined.sparsity() == union / params.learnable_count()
+        assert combined.sparsity() == union / params.layout.n_learnable

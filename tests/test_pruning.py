@@ -125,7 +125,7 @@ class TestUnstructured:
             ("fc1", "weight"): rng.normal(size=(6, 48)),
             ("fc1", "bias"): 0.1 * rng.normal(size=6),
         })
-        n_dense = params.learnable_count()
+        n_dense = params.layout.n_learnable
         previous = params
         zeros_before = {k: np.zeros(v.shape, dtype=bool) for k, v in params.items()}
         for fraction in (50, 91, 99):
