@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -115,6 +116,9 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     def reject(msg):
         raise ConfigError(msg)
 
+    for key, kind in _FIELD_TYPES.items():  # NaN passes every range check below
+        if kind == "float" and not math.isfinite(getattr(cfg, key)):
+            reject(f"key '{key}': must be a finite number, got {getattr(cfg, key)}")
     if cfg.algorithm not in ALGORITHM_CHOICES:
         reject(f"key 'algorithm': {cfg.algorithm!r} not in {ALGORITHM_CHOICES}")
     if cfg.dataset not in DATASETS:

@@ -322,12 +322,15 @@ def _conv_forward(x, w, b):
     The columns are gathered per sample through cached offsets, one pass
     instead of a strided copy in runs of k elements. They keep the C order,
     since BLAS's small-matrix kernels round a transposed operand differently.
+    Every offset lies in [0, c*h*w), so the gather's "wrap" mode never wraps;
+    it only skips the per-index bounds check of the default mode.
     """
     n, c, h, width = x.shape
     o, _, k, _ = w.shape
     oh, ow = h - k + 1, width - k + 1
     offsets = _im2col_offsets(c, h, width, k)
-    cols = np.take(x.reshape(n, c * h * width), offsets, axis=1).reshape(n * oh * ow, c * k * k)
+    cols = np.take(x.reshape(n, c * h * width), offsets, axis=1, mode="wrap")
+    cols = cols.reshape(n * oh * ow, c * k * k)
     y = cols @ w.reshape(o, -1).T
     y = np.ascontiguousarray(y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
     y += b[:, None, None]
@@ -345,11 +348,31 @@ def _conv_backward(dy, cols, w, x_shape, input_grad=True):
     if not input_grad:
         return None, dw, db
     dcols = (dy_mat @ w.reshape(o, -1)).reshape(n, oh, ow, c, k, k)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return dx, dw, db
+    return _col2im(dcols, x_shape), dw, db
+
+
+def _col2im(dcols, x_shape):
+    """Sum the (n, oh, ow, c, k, k) column gradients into an input gradient.
+
+    Each input element gets its terms in ascending tap (i, j) order, added
+    to +0. The loop runs over whichever is fewer, the k*k taps or the oh*ow
+    output positions: the positions walked in reverse row-major order give
+    every element the same ascending tap order, so both loops give the same
+    bits, signed zeros included. Only where two NaNs of different sign or
+    payload meet in one sum may the surviving NaN differ, since numpy's add
+    keeps a different operand's NaN in its vector body and its scalar tail.
+    """
+    n, oh, ow, c, k, _ = dcols.shape
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
+    if oh * ow < k * k:
+        for y in range(oh - 1, -1, -1):
+            for x in range(ow - 1, -1, -1):
+                dx[:, :, y:y + k, x:x + k] += dcols[:, y, x]
+    else:
+        for i in range(k):
+            for j in range(k):
+                dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return dx
 
 
 def _bn_forward(x, params, name, mode):
@@ -381,23 +404,29 @@ def _bn_forward(x, params, name, mode):
     m = x.dtype.type(BN_MOMENTUM)
     params[(name, ROLE_BN_MEAN)][...] = (1 - m) * params[(name, ROLE_BN_MEAN)] + m * mean
     params[(name, ROLE_BN_VAR)][...] = (1 - m) * params[(name, ROLE_BN_VAR)] + m * unbiased
-    y = xhat * scale[None, :, None, None] + shift[None, :, None, None]
+    y = xhat * scale[None, :, None, None]
+    y += shift[None, :, None, None]
     return y, (xhat, inv, scale)
 
 
 def _bn_backward(dy, cache):
+    """dx = (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)) * (inv/n), in two
+    full-size buffers: `tmp` holds dy*xhat, then dxhat*xhat, then the last
+    term, and dx is built in dxhat's buffer once both sums are taken."""
     xhat, inv, scale = cache
     axes = (0, 2, 3)
-    dscale = (dy * xhat).sum(axis=axes)
+    tmp = dy * xhat
+    dscale = tmp.sum(axis=axes)
     dshift = dy.sum(axis=axes)
     dxhat = dy * scale[None, :, None, None]
     n = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    term = (
-        n * dxhat
-        - dxhat.sum(axis=axes)[None, :, None, None]
-        - xhat * (dxhat * xhat).sum(axis=axes)[None, :, None, None]
-    )
-    dx = term * (inv[None, :, None, None] / n)
+    dxhat_sum = dxhat.sum(axis=axes)
+    np.multiply(dxhat, xhat, out=tmp)
+    np.multiply(xhat, tmp.sum(axis=axes)[None, :, None, None], out=tmp)
+    dx = np.multiply(n, dxhat, out=dxhat)
+    dx -= dxhat_sum[None, :, None, None]
+    dx -= tmp
+    dx *= inv[None, :, None, None] / n
     return dx, dscale, dshift
 
 
@@ -417,14 +446,14 @@ def _pool_forward(x, window):
     n, c, h, w = x.shape
     xr = x.reshape(n, c, h // window, window, w // window, window)
     y = xr[:, :, :, 0, :, 0].copy()
-    idx = np.zeros(y.shape, dtype=np.intp)
+    idx = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))  # uint8 for 2x2
     y_bits, x_bits = _as_bits(y), _as_bits(xr)
     for t in range(1, window * window):
         a, b = divmod(t, window)
         take = ~(xr[:, :, :, a, :, b] <= y) & (y == y)
         # -take is all ones where the tap wins, so the xor swaps in its bits there
         y_bits ^= (y_bits ^ x_bits[:, :, :, a, :, b]) & -take.astype(y_bits.dtype)
-        np.maximum(idx, take * t, out=idx)  # t exceeds every earlier index
+        np.maximum(idx, take * idx.dtype.type(t), out=idx)  # t exceeds every earlier index
     return y, idx
 
 
@@ -586,8 +615,11 @@ def sgd_step(params: ParamSet, grads: ParamSet, opt: OptimizerState, mask=None) 
     """Classical momentum update v <- mu*v + g, theta <- theta - lr*v, in place,
     over the learnable part of the flat vector.
 
-    With a mask, gradients are zeroed at pruned positions and the parameters and
-    velocity are re-masked so pruned positions stay exactly 0 after the step.
+    With a mask, gradients are zeroed at pruned positions, so there the
+    velocity stays +0 and the parameter keeps its value: a pruned position
+    that enters the step at 0 (as `client_update` masks the params before
+    training) stays exactly 0. A NaN or inf gradient at a pruned position
+    turns it NaN, as a re-mask after the step would not repair either.
     """
     n = params.layout.n_learnable
     p, g = params.flat[:n], grads.flat[:n]
@@ -598,8 +630,6 @@ def sgd_step(params: ParamSet, grads: ParamSet, opt: OptimizerState, mask=None) 
     v *= p.dtype.type(opt.momentum)
     v += g * keep
     p -= p.dtype.type(opt.learning_rate) * v
-    p *= keep
-    v *= keep
     return params
 
 

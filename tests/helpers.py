@@ -135,11 +135,17 @@ def reference_conv_backward(dy, cols, w, x_shape):
     dw = (dy_mat.T @ cols).reshape(o, c, k, k)
     db = dy_mat.sum(axis=0)
     dcols = (dy_mat @ w.reshape(o, -1)).reshape(n, oh, ow, c, k, k)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
+    return reference_col2im(dcols, x_shape), dw, db
+
+
+def reference_col2im(dcols, x_shape):
+    """The (n, oh, ow, c, k, k) column gradients summed tap by tap."""
+    n, oh, ow, c, k, _ = dcols.shape
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
             dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return dx, dw, db
+    return dx
 
 
 def reference_pool_forward(x, window):
@@ -182,6 +188,22 @@ def reference_bn_forward(x, params, name, mode):
     return y, (xhat, inv, scale)
 
 
+def reference_bn_backward(dy, cache):
+    xhat, inv, scale = cache
+    axes = (0, 2, 3)
+    dscale = (dy * xhat).sum(axis=axes)
+    dshift = dy.sum(axis=axes)
+    dxhat = dy * scale[None, :, None, None]
+    n = dy.shape[0] * dy.shape[2] * dy.shape[3]
+    term = (
+        n * dxhat
+        - dxhat.sum(axis=axes)[None, :, None, None]
+        - xhat * (dxhat * xhat).sum(axis=axes)[None, :, None, None]
+    )
+    dx = term * (inv[None, :, None, None] / n)
+    return dx, dscale, dshift
+
+
 def reference_eval_forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray) -> np.ndarray:
     """Eval-mode logits from the plain layer walk over the reference kernels:
     every layer allocates its output, batch norm forms xhat, and max pooling
@@ -222,6 +244,7 @@ def use_reference_kernels(monkeypatch) -> None:
     monkeypatch.setattr(E, "_pool_max", lambda x, window: reference_pool_forward(x, window)[0])
     monkeypatch.setattr(E, "_pool_backward", reference_pool_backward)
     monkeypatch.setattr(E, "_bn_forward", reference_bn_forward)
+    monkeypatch.setattr(E, "_bn_backward", reference_bn_backward)
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

@@ -59,6 +59,13 @@ class TestRunVerb:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--eps-us", "nan"), ("--lr", "inf")])
+    def test_non_finite_float_is_a_config_error(self, tmp_path, capsys, flag, value):
+        code = main(["run", *TINY, flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not run_dirs(tmp_path)
+
     def test_reruns_get_fresh_directories(self, tmp_path):
         for _ in range(2):
             assert main(["run", *TINY, "--algorithm", "standalone",

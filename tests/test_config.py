@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from subfed.config import ConfigError, ExperimentConfig, config_to_ini, parse_config
@@ -105,6 +107,18 @@ class TestValidation:
     def test_unknown_model_named(self):
         with pytest.raises(ConfigError, match="model"):
             parse_config(overrides={"dataset": "synthetic", "model": "vgg"})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.type == "float"])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}': must be a finite number"):
+            parse_config(overrides={"dataset": "synthetic", key: value})
+
+    def test_non_finite_float_in_file_rejected(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[data]\ndataset = synthetic\n[training]\nlearning_rate = nan\n")
+        with pytest.raises(ConfigError, match="'learning_rate': must be a finite number"):
+            parse_config(path)
 
     def test_epochs_minimum(self):
         with pytest.raises(ConfigError, match="local_epochs"):

@@ -13,9 +13,10 @@ from subfed.engine import (
 from subfed.pruning import dense_mask, full_coverage
 
 from helpers import (
-    random_small_spec, reference_bn_forward, reference_conv_backward, reference_conv_forward,
-    reference_eval_forward, reference_pool_backward, reference_pool_forward, same_bits,
-    tiny_dense_spec, use_reference_kernels,
+    random_small_spec, reference_bn_backward, reference_bn_forward, reference_col2im,
+    reference_conv_backward, reference_conv_forward, reference_eval_forward,
+    reference_pool_backward, reference_pool_forward, same_bits, tiny_dense_spec,
+    use_reference_kernels,
 )
 
 
@@ -308,6 +309,45 @@ class TestKernelsMatchReference:
                     _check_conv(rng, x, desc.out_channels, desc.kernel)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, oh, ow", [
+        (5, 4, 4), (5, 1, 24), (5, 5, 5), (5, 1, 25), (5, 6, 6), (5, 10, 10),
+        (3, 2, 4), (3, 3, 3), (3, 4, 3), (2, 1, 3), (1, 1, 1), (1, 2, 3),
+    ])
+    def test_col2im_special_values(self, k, oh, ow, dtype):
+        """Both loops, on either side of oh*ow = k*k, give the taps loop's
+        bits for signed zeros and infinities, and +0 for an all -0 input.
+        NaN lands in the same places. Where two NaNs of different sign meet
+        in one sum, numpy's add keeps one operand's NaN in its vector body
+        and the other's in its scalar tail, so there only the NaN's place is
+        compared; with one NaN kind and no opposite infinities every bit is."""
+        rng = np.random.default_rng([k, oh, ow])
+        shape = (3, oh, ow, 2, k, k)
+        x_shape = (3, 2, oh + k - 1, ow + k - 1)
+        finite = rng.normal(size=shape).astype(dtype)
+        for special in ([0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan], [0.0, -0.0, np.nan, np.inf]):
+            dcols = finite.copy()
+            where = rng.random(shape) < 0.4
+            dcols[where] = rng.choice(np.array(special, dtype), size=int(where.sum()))
+            with np.errstate(invalid="ignore"):  # inf + -inf
+                got, ref = E._col2im(dcols, x_shape), reference_col2im(dcols, x_shape)
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(got), nan) and same_bits(got[~nan], ref[~nan])
+        assert same_bits(got, ref)  # one NaN kind, no -inf
+        zeros = np.full(shape, -0.0, dtype)
+        assert same_bits(E._col2im(zeros, x_shape), np.zeros(x_shape, dtype))
+
+    @pytest.mark.parametrize("window, index_dtype", [
+        (1, np.uint8), (2, np.uint8), (3, np.uint8), (16, np.uint8), (17, np.uint16),
+    ])
+    def test_pool_index_is_the_smallest_unsigned_type(self, window, index_dtype):
+        rng = np.random.default_rng(window)
+        x = rng.normal(size=(2, 3, 2 * window, 2 * window)).astype(np.float32)
+        x[0, 0, window - 1, window - 1] = 100.0  # the last tap wins one window
+        _check_pool(x, window)
+        _, idx = E._pool_forward(x, window)
+        assert idx.dtype == index_dtype and idx.max() == window * window - 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window", [2, 3])
     def test_pool_random(self, window, dtype):
         rng = np.random.default_rng(window)
@@ -383,6 +423,20 @@ class TestBatchNormMatchesReference:
             assert cache is None
         for key in params.keys():  # the running-statistic updates
             assert same_bits(params[key], ref_params[key]), key
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_backward_bitwise(self, shape, dtype):
+        rng = np.random.default_rng([*shape, 1])
+        x = (rng.normal(size=shape) * 7.0 + 3.0).astype(dtype)
+        _, cache = E._bn_forward(x, self._params(rng, shape[1], dtype), "bn", "train")
+        dy = rng.normal(size=shape).astype(dtype)
+        inputs = [dy.copy(), *(a.copy() for a in cache)]
+        got, ref = E._bn_backward(dy, cache), reference_bn_backward(dy, cache)
+        for name, a, r in zip(("dx", "dscale", "dshift"), got, ref):
+            assert same_bits(a, r), name
+        for before, after in zip(inputs, (dy, *cache)):  # neither dy nor the cache written
+            assert same_bits(before, after)
 
     def test_strided_input(self):
         rng = np.random.default_rng(4)

@@ -170,15 +170,22 @@ class TestMatchesPerTensorReference:
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_sgd_step(self, kind, dtype, masked):
+        """Masked, a NaN or inf gradient at a pruned position too: with no
+        re-mask after the step the params still get the reference's bits."""
         rng, params, mask = make_case(kind, dtype, 7)
         params = reference_apply_mask(params, mask)
         flat_params, ref_params = params.copy(), params.copy()
         flat_opt, ref_opt = OptimizerState(0.05, 0.9), OptimizerState(0.05, 0.9)
-        for _ in range(4):
+        pruned = np.flatnonzero(~mask.flat[:params.layout.n_learnable])
+        for bad in (1.0, np.nan, np.inf, -np.inf):
             grads = params.zeros_like()
             grads.flat[:] = rng.normal(size=grads.flat.size)
-            sgd_step(flat_params, grads, flat_opt, mask if masked else None)
-            reference_sgd_step(ref_params, grads, ref_opt, mask if masked else None)
+            if masked:
+                grads.flat[rng.choice(pruned, size=3, replace=False)] = bad
+            with np.errstate(invalid="ignore"):  # inf * 0
+                sgd_step(flat_params, grads, flat_opt, mask if masked else None)
+                reference_sgd_step(ref_params, grads, ref_opt, mask if masked else None)
+        assert np.isnan(flat_params.flat).any() == masked
         assert same_bits(flat_params.flat, ref_params.flat)
         velocity = ParamSet.over(params.layout, np.zeros_like(params.flat))
         velocity.flat[:params.layout.n_learnable] = flat_opt.velocity
