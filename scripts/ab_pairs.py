@@ -2,15 +2,12 @@
 """Alternating parent/change perfbench pairs, with the gain verdict per metric.
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W --seeds S [S ...]
-                                [--summarise-only]
 
 PARENT_DIR and CHANGE_DIR are the roots of two checkouts. For each seed the
 script runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 in both, T being `run_seconds` of PARENT_DIR's BENCHMARK.json: the parent
 first for the 1st, 3rd, ... seed and the change first for the others. It
 reads each run's perfbench/out/<W>-seed<S>-trace0/result.json.
-`--summarise-only` runs nothing and reads the result.json files the
-checkouts already hold.
 
 For every end-to-end metric of BENCHMARK.json it prints each pair's
 nominal-speed values, each side's median and quartiles
@@ -18,12 +15,16 @@ nominal-speed values, each side's median and quartiles
 neither side. The verdict:
 
 - "gain": at least 10 pairs, the change wins at least nine tenths of them,
-  and its median is better than the parent's by more than the parent's
-  quartile spread;
+  its median is better than the parent's by more than the parent's
+  quartile spread, and it failed no larger share of its experiments;
 - "better, too few pairs": the same with fewer than 10 pairs;
+- "better, more failures": the same, but the change failed a larger share
+  of its experiments than the parent;
 - "worse": the change's median is worse than the parent's by more than the
   metric's bound (a fraction of the parent's median);
-- "within bound": neither.
+- "unresolved": either side's quartile spread is wider than that bound and
+  not every change run is better than every parent run;
+- "within bound": none of these.
 
 A pair counts only when both of its runs wrote a result; the failed share of
 experiments is printed per side, and a pair whose two sides' artifact
@@ -42,39 +43,42 @@ from bench_trajectory import spread  # scripts/bench_trajectory.py
 MIN_PAIRS = 10  # the fewest pairs a gain may rest on
 
 
-def result_path(checkout: Path, workload: str, seed: int) -> Path:
-    return checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0" / "result.json"
-
-
-def read_result(checkout: Path, workload: str, seed: int) -> dict | None:
-    path = result_path(checkout, workload, seed)
-    return json.loads(path.read_text()) if path.is_file() else None
-
-
 def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
     """One untraced perfbench run in `checkout`; its result, or None if it wrote none."""
-    result_path(checkout, workload, seed).unlink(missing_ok=True)
+    path = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0" / "result.json"
+    path.unlink(missing_ok=True)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         print(f"  {checkout} seed {seed}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}",
               file=sys.stderr)
-    return read_result(checkout, workload, seed)
+    return json.loads(path.read_text()) if path.is_file() else None
 
 
-def verdict(metric: dict, parent: list[float], change: list[float]) -> dict:
-    """Win count, both sides' spreads and the verdict for one metric over the pairs."""
+def verdict(metric: dict, parent: list[float], change: list[float],
+            failed_shares: tuple[float, float]) -> dict:
+    """Win count, both sides' spreads and the verdict for one metric over the pairs.
+
+    `failed_shares` is the (parent, change) share of experiments that failed.
+    """
     lower = metric["better"] == "lower"
     wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
     losses = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
     ps, cs = spread(parent), spread(change)
     gap = cs["median"] - ps["median"]
     better_by = -gap if lower else gap
+    bound = metric["bound"] * abs(ps["median"])
+    every_run_better = max(change) < min(parent) if lower else min(change) > max(parent)
     if 10 * wins >= 9 * len(parent) and better_by > ps["q3"] - ps["q1"]:
-        call = "gain" if len(parent) >= MIN_PAIRS else "better, too few pairs"
-    elif -better_by > metric["bound"] * abs(ps["median"]):
+        if failed_shares[1] > failed_shares[0]:
+            call = "better, more failures"
+        else:
+            call = "gain" if len(parent) >= MIN_PAIRS else "better, too few pairs"
+    elif -better_by > bound:
         call = "worse"
+    elif max(ps["q3"] - ps["q1"], cs["q3"] - cs["q1"]) > bound and not every_run_better:
+        call = "unresolved"
     else:
         call = "within bound"
     return {"wins": wins, "losses": losses, "pairs": len(parent), "parent": ps,
@@ -83,15 +87,17 @@ def verdict(metric: dict, parent: list[float], change: list[float]) -> dict:
 
 def report(metrics: list[dict], pairs: list[tuple[int, dict, dict]]) -> None:
     """Print every end-to-end metric's pairs and verdict."""
+    failed_shares = []
     for side, i in (("parent", 1), ("change", 2)):
         attempted = sum(pair[i]["attempted"] for pair in pairs)
         failed = sum(pair[i]["failed"] for pair in pairs)
         print(f"{side}: {failed} of {attempted} experiments failed")
+        failed_shares.append(failed / attempted if attempted else 0.0)
     for metric in metrics:
         name = metric["name"]
         parent = [p["metrics"][name]["value"] for _, p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, _, c in pairs]
-        v = verdict(metric, parent, change)
+        v = verdict(metric, parent, change, tuple(failed_shares))
         print(f"\n{name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']})")
         for (seed, _, _), p, c in zip(pairs, parent, change):
             print(f"  seed {seed:<6d} parent {p:<12.6g} change {c:.6g}")
@@ -110,18 +116,13 @@ def main() -> int:
     ap.add_argument("change", type=Path, help="root of the change checkout")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--summarise-only", action="store_true",
-                    help="read the result.json files already in the checkouts")
     args = ap.parse_args()
     declared = json.loads((args.parent / "BENCHMARK.json").read_text())
     pairs, missing = [], 0
     for i, seed in enumerate(args.seeds):
         order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
-        got = {}
-        for checkout in order:
-            got[checkout] = (
-                read_result(checkout, args.workload, seed) if args.summarise_only
-                else run_perfbench(checkout, args.workload, seed, declared["run_seconds"]))
+        got = {checkout: run_perfbench(checkout, args.workload, seed, declared["run_seconds"])
+               for checkout in order}
         parent, change = got[args.parent], got[args.change]
         if parent is None or change is None:
             missing += 1
