@@ -11,8 +11,11 @@ reads each run's perfbench/out/<W>-seed<S>-trace0/result.json.
 
 For every end-to-end metric of BENCHMARK.json it prints each pair's
 nominal-speed values, each side's median and quartiles
-(statistics.quantiles, n=4), and the change's win count, ties counting for
-neither side. The verdict:
+(statistics.quantiles, n=4), each side's median raw value (result.json's
+raw_metrics), and the change's win count, ties counting for neither side.
+Each side's median host-speed probe reading, over its experiments' probe_s,
+is printed once: the probe runs in the program's process, so a change that
+moves the probe shows there. The verdict, on nominal-speed values only:
 
 - "gain": at least 10 pairs, the change wins at least nine tenths of them,
   its median is better than the parent's by more than the parent's
@@ -34,6 +37,7 @@ a run could not be read.
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +97,12 @@ def report(metrics: list[dict], pairs: list[tuple[int, dict, dict]]) -> None:
         failed = sum(pair[i]["failed"] for pair in pairs)
         print(f"{side}: {failed} of {attempted} experiments failed")
         failed_shares.append(failed / attempted if attempted else 0.0)
+    for side, i in (("parent", 1), ("change", 2)):
+        # a failed experiment has no readings
+        probes = [p for pair in pairs for e in pair[i]["experiments"] for p in e.get("probe_s", ())]
+        if probes:
+            print(f"{side}: host-speed probe median {statistics.median(probes):.6g} s "
+                  f"over {len(probes)} readings")
     for metric in metrics:
         name = metric["name"]
         parent = [p["metrics"][name]["value"] for _, p, _ in pairs]
@@ -104,6 +114,8 @@ def report(metrics: list[dict], pairs: list[tuple[int, dict, dict]]) -> None:
         for side in ("parent", "change"):
             s = v[side]
             print(f"  {side} median {s['median']:.6g}  quartiles {s['q1']:.6g} .. {s['q3']:.6g}")
+        raw = [statistics.median(pair[i]["raw_metrics"][name] for pair in pairs) for i in (1, 2)]
+        print(f"  raw medians: parent {raw[0]:.6g}  change {raw[1]:.6g}")
         rel = v["gap"] / v["parent"]["median"] if v["parent"]["median"] else float("nan")
         print(f"  change wins {v['wins']} of {v['pairs']} pairs ({v['losses']} lost); "
               f"median gap {v['gap']:+.6g} ({rel:+.1%}) against the parent's quartile "

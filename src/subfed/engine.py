@@ -306,6 +306,40 @@ class ForwardCache:
     params: ParamSet
 
 
+class Workspace:
+    """Scratch arrays that outlive one eval pass: named byte buffers, each
+    grown to the largest request, lent out as arrays of the shape and dtype
+    asked for. An array is valid until its name is requested again, so one
+    workspace serves one pass at a time."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self.buffers[name] = np.empty(nbytes, np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+
+class _Fresh:
+    """The workspace of train mode and of a `forward` given none: a new
+    array for every request."""
+
+    @staticmethod
+    def array(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+_FRESH = _Fresh()
+# Workspaces of finished evaluations, for the next one to borrow; list.pop
+# and list.append are atomic, so the threads of `federation.map_clients`
+# share it without a lock, and it holds at most as many workspaces as
+# evaluations that ever ran at once.
+_EVAL_WORKSPACES: list[Workspace] = []
+
+
 @lru_cache(maxsize=32)
 def _im2col_offsets(c: int, h: int, w: int, k: int) -> np.ndarray:
     """Flat offsets into one (c, h, w) sample of its im2col rows, in row order."""
@@ -316,29 +350,42 @@ def _im2col_offsets(c: int, h: int, w: int, k: int) -> np.ndarray:
     return offsets
 
 
-def _conv_forward(x, w, b):
+def _conv_forward(x, w, b, ws=_FRESH, out="y"):
     """Valid convolution as one matmul over C-order im2col columns.
 
     The columns are gathered per sample through cached offsets, one pass
     instead of a strided copy in runs of k elements. They keep the C order,
     since BLAS's small-matrix kernels round a transposed operand differently.
     Every offset lies in [0, c*h*w), so the gather's "wrap" mode never wraps;
-    it only skips the per-index bounds check of the default mode.
+    it only skips the per-index bounds check of the default mode. The
+    columns, the GEMM output and `y` (from its buffer named `out`) come from
+    `ws`.
     """
     n, c, h, width = x.shape
     o, _, k, _ = w.shape
     oh, ow = h - k + 1, width - k + 1
     offsets = _im2col_offsets(c, h, width, k)
-    cols = np.take(x.reshape(n, c * h * width), offsets, axis=1, mode="wrap")
+    cols = np.take(x.reshape(n, c * h * width), offsets, axis=1, mode="wrap",
+                   out=ws.array("cols", (n, offsets.size), x.dtype))
     cols = cols.reshape(n * oh * ow, c * k * k)
-    y = cols @ w.reshape(o, -1).T
-    y = np.ascontiguousarray(y.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
+    dtype = np.result_type(x.dtype, w.dtype)
+    gemm = np.matmul(cols, w.reshape(o, -1).T, out=ws.array("gemm", (n * oh * ow, o), dtype))
+    y = ws.array(out, (n, o, oh, ow), dtype)
+    np.copyto(y, gemm.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
     y += b[:, None, None]
     return y, cols
 
 
 def _conv_backward(dy, cols, w, x_shape, input_grad=True):
-    """Weight and bias gradients, and the input gradient when `input_grad`."""
+    """Weight and bias gradients, and the input gradient when `input_grad`.
+
+    The column gradients come from the one GEMM `_col2im` sums. Where the
+    output has fewer positions than the kernel has taps, they are copied
+    once into (i, j, c) order and summed by `_col2im_positions`. A GEMM over
+    the weights in (i, j, c) order would skip the copy, but OpenBLAS rounds
+    some columns differently once they move (one-row products, and float64
+    at o = 16), so it would not keep the bits.
+    """
     n, c, h, width = x_shape
     o, _, k, _ = w.shape
     oh, ow = h - k + 1, width - k + 1
@@ -348,31 +395,44 @@ def _conv_backward(dy, cols, w, x_shape, input_grad=True):
     if not input_grad:
         return None, dw, db
     dcols = (dy_mat @ w.reshape(o, -1)).reshape(n, oh, ow, c, k, k)
+    if oh * ow < k * k:
+        dcols = np.ascontiguousarray(dcols.transpose(0, 1, 2, 4, 5, 3))
+        return _col2im_positions(dcols, x_shape), dw, db
     return _col2im(dcols, x_shape), dw, db
 
 
 def _col2im(dcols, x_shape):
-    """Sum the (n, oh, ow, c, k, k) column gradients into an input gradient.
-
-    Each input element gets its terms in ascending tap (i, j) order, added
-    to +0. The loop runs over whichever is fewer, the k*k taps or the oh*ow
-    output positions: the positions walked in reverse row-major order give
-    every element the same ascending tap order, so both loops give the same
-    bits, signed zeros included. Only where two NaNs of different sign or
-    payload meet in one sum may the surviving NaN differ, since numpy's add
-    keeps a different operand's NaN in its vector body and its scalar tail.
-    """
+    """Sum the (n, oh, ow, c, k, k) column gradients into an input gradient,
+    tap by tap: each input element gets its terms in ascending tap (i, j)
+    order, added to +0."""
     n, oh, ow, c, k, _ = dcols.shape
     dx = np.zeros(x_shape, dtype=dcols.dtype)
-    if oh * ow < k * k:
-        for y in range(oh - 1, -1, -1):
-            for x in range(ow - 1, -1, -1):
-                dx[:, :, y:y + k, x:x + k] += dcols[:, y, x]
-    else:
-        for i in range(k):
-            for j in range(k):
-                dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
     return dx
+
+
+def _col2im_positions(dcols, x_shape):
+    """`_col2im` of (n, oh, ow, k, k, c) column gradients, position by position.
+
+    Each output position's (k, k*c) block is added into channels-last rows
+    of w*c values, in runs of k*c floats, and the sum is transposed once to
+    NCHW. The positions walked in reverse row-major order give every input
+    element its terms in ascending tap order from +0, so the bits are
+    `_col2im`'s, signed zeros included. Only where two NaNs of different
+    sign or payload meet in one sum may the surviving NaN differ, since
+    numpy's add keeps a different operand's NaN in its vector body and its
+    scalar tail.
+    """
+    n, oh, ow, k, _, c = dcols.shape
+    _, _, h, width = x_shape
+    rows = np.zeros((n, h, width * c), dtype=dcols.dtype)
+    blocks = dcols.reshape(n, oh, ow, k, k * c)
+    for y in range(oh - 1, -1, -1):
+        for x in range(ow - 1, -1, -1):
+            rows[:, y:y + k, x * c:(x + k) * c] += blocks[:, y, x]
+    return np.ascontiguousarray(rows.reshape(n, h, width, c).transpose(0, 3, 1, 2))
 
 
 def _bn_forward(x, params, name, mode):
@@ -457,21 +517,23 @@ def _pool_forward(x, window):
     return y, idx
 
 
-def _pool_max(x, window):
+def _pool_max(x, window, ws=_FRESH, out="y"):
     """Window maxima only, as eval needs them: the max over each window's
     rows, then over its columns, on strided views of `x`.
 
-    The first and last tap of each pass start a new array (one tap twice
-    for a window of 1), so the result never shares memory with `x`. Max is
-    exact, so `y` equals `_pool_forward`'s values as real numbers, NaN in
-    the same places; only the sign of a tied zero or a NaN payload may differ.
+    The rows and `y` (from its buffer named `out`) come from `ws`, so `y`
+    never shares memory with `x` unless `out` names `x`'s buffer. Max is
+    exact, so `y` equals `_pool_forward`'s values as real numbers, NaN in the
+    same places; only the sign of a tied zero or a NaN payload may differ.
     """
     n, c, h, w = x.shape
     xr = x.reshape(n, c, h // window, window, w // window, window)
-    rows = np.maximum(xr[:, :, :, 0], xr[:, :, :, window - 1])
+    rows = np.maximum(xr[:, :, :, 0], xr[:, :, :, window - 1],
+                      out=ws.array("rows", (n, c, h // window, w // window, window), x.dtype))
     for a in range(1, window - 1):
         np.maximum(rows, xr[:, :, :, a], out=rows)
-    y = np.maximum(rows[..., 0], rows[..., window - 1])
+    y = np.maximum(rows[..., 0], rows[..., window - 1],
+                   out=ws.array(out, (n, c, h // window, w // window), x.dtype))
     for b in range(1, window - 1):
         np.maximum(y, rows[..., b], out=y)
     return y
@@ -490,7 +552,8 @@ def _pool_backward(dy, idx, window, x_shape):
     return dx
 
 
-def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
+def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
+            workspace: Workspace | None = None):
     """Run the network on a (N,C,H,W) batch.
 
     In train mode batch-norm layers use batch statistics and update the running
@@ -499,6 +562,11 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
     only inference work: batch norm in place and max pooling without an
     index. Neither mode writes to `batch`; the bias adds and the ReLU work in
     place only on arrays this call allocated. Returns (logits, cache).
+
+    Eval mode may take a `workspace`: every conv, pool and ReLU array of the
+    pass then comes from it, the layer outputs from two buffers in turn, so
+    an output never overwrites its input. Logits that no dense layer makes
+    are the workspace's too, valid until its next use.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -508,6 +576,10 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
             f"{spec.name}:input: expected batch of {spec.input_shape}, got {batch.shape}"
         )
     train = mode == "train"
+    if train and workspace is not None:
+        raise ValueError("a workspace serves eval mode only")
+    ws = _FRESH if workspace is None else workspace
+    slot = 0  # the output buffer the next layer output takes
     x = batch
     owned = False  # whether x is an array this call allocated
     records = []
@@ -515,21 +587,21 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
     for name, desc, in_shape, _ in layers:
         if isinstance(desc, Conv):
             w = params[(name, ROLE_WEIGHT)]
-            y, cols = _conv_forward(x, w, params[(name, ROLE_BIAS)])
+            y, cols = _conv_forward(x, w, params[(name, ROLE_BIAS)], ws, f"out{slot}")
             bn_cache = None
             if desc.batch_norm:
                 y, bn_cache = _bn_forward(y, params, name, mode)
             keep((name, desc, (x.shape, cols, bn_cache)))
-            x, owned = y, True
+            x, owned, slot = y, True, 1 - slot
         elif isinstance(desc, MaxPool):
             if train:
                 y, idx = _pool_forward(x, desc.window)
                 keep((name, desc, (x.shape, idx)))
             else:
-                y = _pool_max(x, desc.window)
-            x, owned = y, True
+                y = _pool_max(x, desc.window, ws, f"out{slot}")
+            x, owned, slot = y, True, 1 - slot
         elif isinstance(desc, Relu):
-            mask = x > 0
+            mask = np.greater(x, 0, out=ws.array("relu", x.shape, np.bool_))
             keep((name, desc, mask))
             if owned:
                 x *= mask
@@ -636,13 +708,27 @@ def sgd_step(params: ParamSet, grads: ParamSet, opt: OptimizerState, mask=None) 
 def evaluate_accuracy(
     spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarray, batch_size: int = 256
 ) -> float:
-    """Eval-mode top-1 accuracy as a percentage."""
+    """Eval-mode top-1 accuracy as a percentage.
+
+    The passes run in a workspace borrowed from the engine's free list and
+    returned to it, so the next evaluation reuses the scratch arrays instead
+    of freeing them to the allocator and faulting them back in.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     if len(x) == 0:
         return 0.0
-    correct = 0
-    for start in range(0, len(x), batch_size):
-        logits, _ = forward(spec, params, x[start:start + batch_size], "eval")
-        correct += int((logits.argmax(axis=1) == y[start:start + batch_size]).sum())
+    try:
+        ws = _EVAL_WORKSPACES.pop()
+    except IndexError:
+        ws = Workspace()
+    try:
+        correct = 0
+        for start in range(0, len(x), batch_size):
+            logits, _ = forward(spec, params, x[start:start + batch_size], "eval", ws)
+            correct += int((logits.argmax(axis=1) == y[start:start + batch_size]).sum())
+    finally:
+        _EVAL_WORKSPACES.append(ws)
     return 100.0 * correct / len(x)
 
 

@@ -233,15 +233,18 @@ def use_reference_kernels(monkeypatch) -> None:
     """Swap the reference kernels into the engine for the rest of a test.
 
     The reference conv backward always forms the input gradient; `backward`
-    drops it at the lowest parameter layer.
+    drops it at the lowest parameter layer. The reference forward kernels
+    ignore a workspace and allocate.
     """
-    monkeypatch.setattr(E, "_conv_forward", reference_conv_forward)
+    monkeypatch.setattr(E, "_conv_forward",
+                        lambda x, w, b, ws=None, out=None: reference_conv_forward(x, w, b))
     monkeypatch.setattr(
         E, "_conv_backward",
         lambda dy, cols, w, x_shape, input_grad=True: reference_conv_backward(dy, cols, w, x_shape),
     )
     monkeypatch.setattr(E, "_pool_forward", reference_pool_forward)
-    monkeypatch.setattr(E, "_pool_max", lambda x, window: reference_pool_forward(x, window)[0])
+    monkeypatch.setattr(E, "_pool_max",
+                        lambda x, window, ws=None, out=None: reference_pool_forward(x, window)[0])
     monkeypatch.setattr(E, "_pool_backward", reference_pool_backward)
     monkeypatch.setattr(E, "_bn_forward", reference_bn_forward)
     monkeypatch.setattr(E, "_bn_backward", reference_bn_backward)

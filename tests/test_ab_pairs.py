@@ -18,11 +18,16 @@ STEPS = {"name": "steps_per_s", "unit": "steps/s", "better": "higher", "bound": 
 ENV = {"nproc": 2, "numpy": "2.4.6"}
 
 
-def result(round_s, steps, failed=0, digest="d0"):
-    """A perfbench result.json cut down to the fields the tool reads."""
+def result(round_s, steps, failed=0, digest="d0", raw=1.5, probe=0.03):
+    """A perfbench result.json cut down to the fields the tool reads: raw
+    values `raw` times the nominal ones, and two probe readings per
+    experiment that ran, `probe` and twice it."""
     return {"attempted": 4, "failed": failed, "env": ENV, "digest": digest, "metrics": {
         "round_s_p50": {"value": round_s, "unit": "s"},
-        "steps_per_s": {"value": steps, "unit": "steps/s"}}}
+        "steps_per_s": {"value": steps, "unit": "steps/s"}},
+        "raw_metrics": {"round_s_p50": raw * round_s, "steps_per_s": raw * steps},
+        "experiments": [{"problems": ["exit 1"]}] * failed
+        + [{"problems": [], "probe_s": [probe, 2 * probe]}] * (4 - failed)}
 
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
@@ -149,6 +154,24 @@ def test_summarise_canned_results(tmp_path):
     assert out.count("change wins 10 of 10 pairs (0 lost)") == 2
     assert out.count(": gain") == 2
     assert proc.stderr == "seed 956: artifact digest differs: d0 against d1\n"
+
+
+def test_raw_medians_and_probe_readings(tmp_path):
+    """Raw medians and probe readings are printed per side; the verdict
+    stays on the nominal values, though the raw ones favour the parent."""
+    seeds = list(range(951, 961))
+    parent = checkout(tmp_path / "p", {s: result(PARENT[i], 400.0 + i, raw=1.0, probe=0.01)
+                                       for i, s in enumerate(seeds)})
+    change = checkout(tmp_path / "c", {s: result(PARENT[i] - 0.09, 430.0 + i, raw=2.0,
+                                                 failed=i == 0, probe=0.02)
+                                       for i, s in enumerate(seeds)})
+    out = ab(parent, change, seeds).stdout
+    assert "parent: host-speed probe median 0.015 s over 80 readings" in out
+    # the change's failed experiment has no readings
+    assert "change: host-speed probe median 0.03 s over 78 readings" in out
+    assert "raw medians: parent 1  change 1.82" in out  # round_s_p50
+    assert "raw medians: parent 404.5  change 869" in out  # steps_per_s
+    assert out.count(": better, more failures") == 2
 
 
 def test_a_failed_experiment_withholds_the_printed_gain(tmp_path):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -259,6 +262,13 @@ class TestDeterminism:
             spec, params, x, y, batch_size=64
         )
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_evaluate_accuracy_rejects_batch_size_below_one(self, batch_size):
+        spec = tiny_dense_spec(6, 3)
+        x = np.ones((5, 1, 1, 6), np.float32)
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            evaluate_accuracy(spec, init_params(spec, 2), x, np.zeros(5, int), batch_size)
+
 
 def _check_conv(rng, x, o, k):
     """Forward and both backward forms of one conv match the reference bit for bit."""
@@ -308,33 +318,87 @@ class TestKernelsMatchReference:
                     x = rng.normal(size=(10, *in_shape)).astype(np.float32)
                     _check_conv(rng, x, desc.out_channels, desc.kernel)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_conv_backward_small_outputs(self, k, dtype):
+        """Every output with fewer positions than taps (oh*ow < k*k), where
+        the input gradient sums (i, j, c)-ordered column gradients position
+        by position: dx, dw and db keep the reference's bits, with signed
+        zeros and infinities in `dy` and `w`. Where infinities make NaNs of
+        both signs meet in one sum, only the NaN's place is compared (see
+        `_col2im_positions`)."""
+        rng = np.random.default_rng([k, np.dtype(dtype).itemsize])
+        special = np.array([0.0, -0.0, np.inf, -np.inf], dtype)
+
+        def sprinkle(a):
+            kind = rng.integers(0, 3)  # plain, signed zeros, or infinities too
+            where = rng.random(a.shape) < (0.3 if kind == 1 else 0.02 * (kind == 2))
+            a[where] = rng.choice(special[:2] if kind == 1 else special, size=int(where.sum()))
+            return a
+
+        outputs = [(oh, ow) for oh in range(1, k * k) for ow in range(1, k * k) if oh * ow < k * k]
+        for oh, ow in outputs:
+            for n in (1, 3, 5, 10):
+                for c in (1, 3, 8):
+                    x_shape = (n, c, oh + k - 1, ow + k - 1)
+                    cols = rng.normal(size=(n * oh * ow, c * k * k)).astype(dtype)
+                    weights = sprinkle(rng.normal(size=(16, c, k, k)).astype(dtype))
+                    grads = sprinkle(rng.normal(size=(n, 16, oh, ow)).astype(dtype))
+                    for o in range(1, 17):
+                        wt, dy = weights[:o], np.ascontiguousarray(grads[:, :o])
+                        got = E._conv_backward(dy, cols, wt, x_shape)
+                        ref = reference_conv_backward(dy, cols, wt, x_shape)
+                        for name, a, r in zip(("dx", "dw", "db"), got, ref):
+                            nan = np.isnan(r)
+                            assert np.array_equal(np.isnan(a), nan), (name, x_shape, o)
+                            assert same_bits(a[~nan], r[~nan]), (name, x_shape, o)
+
+    def test_conv_backward_synth_cnn_conv2(self):
+        """synth-cnn's conv2 (8x8 input, k = 5, 4x4 output) at batch 10 takes
+        the positions loop; 200 trials keep the reference's bits."""
+        conv2 = [d for d in builtin_spec("synth-cnn").layers if isinstance(d, Conv)][1]
+        rng = np.random.default_rng(200)
+        x_shape = (10, conv2.in_channels, 8, 8)
+        for _ in range(200):
+            x = rng.normal(size=x_shape).astype(np.float32)
+            _check_conv(rng, x, conv2.out_channels, conv2.kernel)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k, oh, ow", [
         (5, 4, 4), (5, 1, 24), (5, 5, 5), (5, 1, 25), (5, 6, 6), (5, 10, 10),
         (3, 2, 4), (3, 3, 3), (3, 4, 3), (2, 1, 3), (1, 1, 1), (1, 2, 3),
     ])
     def test_col2im_special_values(self, k, oh, ow, dtype):
-        """Both loops, on either side of oh*ow = k*k, give the taps loop's
-        bits for signed zeros and infinities, and +0 for an all -0 input.
-        NaN lands in the same places. Where two NaNs of different sign meet
-        in one sum, numpy's add keeps one operand's NaN in its vector body
-        and the other's in its scalar tail, so there only the NaN's place is
+        """Both loops, the taps loop over (c, i, j)-ordered column gradients
+        and the positions loop over the same gradients in (i, j, c) order,
+        on either side of oh*ow = k*k, give the reference's bits for signed
+        zeros and infinities, and +0 for an all -0 input. NaN lands in the
+        same places. Where two NaNs of different sign meet in one sum,
+        numpy's add keeps one operand's NaN in its vector body and the
+        other's in its scalar tail, so there only the NaN's place is
         compared; with one NaN kind and no opposite infinities every bit is."""
         rng = np.random.default_rng([k, oh, ow])
         shape = (3, oh, ow, 2, k, k)
         x_shape = (3, 2, oh + k - 1, ow + k - 1)
+
+        def both_loops(dcols):
+            positions = np.ascontiguousarray(dcols.transpose(0, 1, 2, 4, 5, 3))
+            return E._col2im(dcols, x_shape), E._col2im_positions(positions, x_shape)
+
         finite = rng.normal(size=shape).astype(dtype)
         for special in ([0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan], [0.0, -0.0, np.nan, np.inf]):
             dcols = finite.copy()
             where = rng.random(shape) < 0.4
             dcols[where] = rng.choice(np.array(special, dtype), size=int(where.sum()))
             with np.errstate(invalid="ignore"):  # inf + -inf
-                got, ref = E._col2im(dcols, x_shape), reference_col2im(dcols, x_shape)
+                got, ref = both_loops(dcols), reference_col2im(dcols, x_shape)
             nan = np.isnan(ref)
-            assert np.array_equal(np.isnan(got), nan) and same_bits(got[~nan], ref[~nan])
-        assert same_bits(got, ref)  # one NaN kind, no -inf
+            for a in got:
+                assert np.array_equal(np.isnan(a), nan) and same_bits(a[~nan], ref[~nan])
+        assert all(same_bits(a, ref) for a in got)  # one NaN kind, no -inf
         zeros = np.full(shape, -0.0, dtype)
-        assert same_bits(E._col2im(zeros, x_shape), np.zeros(x_shape, dtype))
+        assert all(same_bits(a, np.zeros(x_shape, dtype)) for a in both_loops(zeros))
 
     @pytest.mark.parametrize("window, index_dtype", [
         (1, np.uint8), (2, np.uint8), (3, np.uint8), (16, np.uint8), (17, np.uint16),
@@ -463,6 +527,16 @@ EDGE_SPECS = {
     "pool3-first": ModelSpec("pool3-first", (1, 6, 6), (
         MaxPool(3), Relu(), Conv(1, 2, 2, batch_norm=True), MaxPool(1), Relu(), Flatten(),
         Dense(2, 3))),
+    # layer outputs that feed a layer of their own kind, and logits that no
+    # dense layer makes
+    "conv-conv": ModelSpec("conv-conv", (2, 9, 9), (
+        Conv(2, 3, 3, batch_norm=True), Conv(3, 4, 2), Relu(), MaxPool(2), Relu(), Flatten(),
+        Dense(36, 5))),
+    "pool-pool": ModelSpec("pool-pool", (1, 12, 12), (
+        MaxPool(2), MaxPool(3), Relu(), Conv(1, 3, 2, batch_norm=True), Relu(), Flatten(),
+        Dense(3, 4))),
+    "no-dense": ModelSpec("no-dense", (1, 8, 8), (
+        Conv(1, 2, 3, batch_norm=True), MaxPool(2), Relu(), Flatten())),
 }
 
 
@@ -521,17 +595,97 @@ class TestEvalForwardMatchesReference:
         spec = SPECS[name]
         rng = np.random.default_rng(list(SPECS).index(name))
         params = _eval_params(spec, dtype, rng)
-        for n in (1, 3, 10, 100, 300):
+        ws = E.Workspace()  # serves every size, growing and shrinking
+        for n in (1, 3, 10, 100, 300, 7):
             x = _special_batch(spec, n, dtype, rng)
-            got, _ = forward(spec, params, x, "eval")
             ref = reference_eval_forward(spec, params, x)
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            nan = np.isnan(ref)
-            assert np.array_equal(np.isnan(got), nan), (name, n)
-            assert np.array_equal(got[~nan], ref[~nan]), (name, n)
-            assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
+            for got, _ in (forward(spec, params, x, "eval"), forward(spec, params, x, "eval", ws)):
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                nan = np.isnan(ref)
+                assert np.array_equal(np.isnan(got), nan), (name, n)
+                assert np.array_equal(got[~nan], ref[~nan]), (name, n)
+                assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
         # the special values reach the logits, and plain samples stay finite
         assert nan.any() and np.isfinite(ref).all(axis=1).any()
+
+
+def _reference_accuracy(spec, params, x, y):
+    correct = 0
+    for start in range(0, len(x), 256):
+        logits = reference_eval_forward(spec, params, x[start:start + 256])
+        correct += int((logits.argmax(axis=1) == y[start:start + 256]).sum())
+    return 100.0 * correct / len(x)
+
+
+def _eval_jobs(sizes, seed):
+    """(spec, params, x, y) per size and spec, the specs interleaved within
+    each size; half the labels are the reference's argmax, so most
+    examples' scores count."""
+    rng = np.random.default_rng(seed)
+    params = {name: _eval_params(spec, np.float32, rng) for name, spec in SPECS.items()}
+    jobs = []
+    for n in sizes:
+        for name, spec in SPECS.items():
+            x = _special_batch(spec, n, np.float32, rng)
+            y = rng.integers(0, E.class_count(spec), size=n)
+            hit = rng.random(n) < 0.5
+            if hit.any():
+                y[hit] = reference_eval_forward(spec, params[name], x[hit]).argmax(axis=1)
+            jobs.append((spec, params[name], x, y))
+    return jobs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEvaluateAccuracy:
+    """`evaluate_accuracy` runs in workspaces borrowed from the engine's free
+    list and scores what the reference layer walk scores at batch 256."""
+
+    def test_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(E, "_EVAL_WORKSPACES", [])
+        for spec, params, x, y in _eval_jobs((1, 255, 256, 257, 600), seed=30):
+            assert evaluate_accuracy(spec, params, x, y) == _reference_accuracy(
+                spec, params, x, y), (spec.name, len(x))
+        assert len(E._EVAL_WORKSPACES) == 1  # one serial caller reuses one workspace
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_threads_share_the_free_list(self, threads, monkeypatch):
+        """More threads than cores, switching often: every score equals the
+        serial one, so no two evaluations shared a workspace, and the free
+        list holds no more workspaces than evaluations ran at once."""
+        jobs = _eval_jobs((1, 257, 40), seed=31)
+        serial = [evaluate_accuracy(*job) for job in jobs]
+        free = []
+        monkeypatch.setattr(E, "_EVAL_WORKSPACES", free)
+        active = peak = 0
+        lock = threading.Lock()
+
+        def run(job):
+            nonlocal active, peak
+            with lock:
+                active += 1
+                peak = max(peak, active)
+            try:
+                return evaluate_accuracy(*job)
+            finally:
+                with lock:
+                    active -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                got = list(pool.map(run, jobs * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial * 3
+        assert 1 <= len(free) <= peak <= threads
+        assert len({id(ws) for ws in free}) == len(free)
+
+    def test_train_mode_takes_no_workspace(self):
+        spec = SPECS["conv-conv"]
+        x = np.ones((2, *spec.input_shape), np.float32)
+        with pytest.raises(ValueError, match="eval mode only"):
+            forward(spec, init_params(spec, 0), x, "train", E.Workspace())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
