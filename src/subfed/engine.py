@@ -561,7 +561,8 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     `backward` needs. Eval mode is a pure function, records nothing and does
     only inference work: batch norm in place and max pooling without an
     index. Neither mode writes to `batch`; the bias adds and the ReLU work in
-    place only on arrays this call allocated. Returns (logits, cache).
+    place only on arrays this call allocated or took from its workspace.
+    Returns (logits, cache).
 
     Eval mode may take a `workspace`: every conv, pool and ReLU array of the
     pass then comes from it, the layer outputs from two buffers in turn, so
