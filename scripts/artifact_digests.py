@@ -11,8 +11,9 @@ into a temporary directory and prints one line per artifact:
 
 `--set` overrides one config key on top of the workload's config, for
 identity checks beyond the workloads (`--set aggregation=strict-intersection`,
-`--set algorithm=standalone`, `--set batch_size=3`). The value is read as
-the key's ExperimentConfig field type; an unknown key is a config error.
+`--set algorithm=standalone`, `--set batch_size=3`). The value is read as an
+INI value is (`subfed.config.parse_value`); an unknown key or a value that
+does not parse is a usage error naming the key.
 
 Run it from the root of two checkouts and diff the outputs to show that a
 change keeps results byte-identical. config.ini is left out: it records the
@@ -25,7 +26,6 @@ import hashlib
 import os
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -36,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  perfbench/workloads.py
-from subfed.config import ConfigError, ExperimentConfig, parse_config  # noqa: E402
+from subfed.config import ConfigError, parse_config, parse_value  # noqa: E402
 from subfed.experiment import run_experiment  # noqa: E402
 
 ARTIFACTS = (
@@ -44,20 +44,15 @@ ARTIFACTS = (
     "plot_accuracy_vs_round.csv", "plot_accuracy_vs_sparsity.csv",
 )
 
-FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
-
 def config_setting(text: str) -> tuple[str, object]:
-    """KEY=VALUE, the value read as the key's field type (a string for a
-    key that is no field, which parse_config then rejects)."""
+    """KEY=VALUE, the value read as the key's config field type."""
     key, sep, raw = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
-    kind = {"int": int, "float": float}.get(FIELD_TYPES.get(key), str)
     try:
-        return key, kind(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{key}: cannot read {raw!r} as {kind.__name__}")
+        return key, parse_value(key, raw)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main() -> int:

@@ -10,15 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    AGGREGATION_CHOICES,
-    ALGORITHM_CHOICES,
-    DATASETS,
-    ConfigError,
-    ExperimentConfig,
-    parse_config,
-)
-from .engine import builtin_spec
+from .config import VALUE_TYPES, ConfigError, ExperimentConfig, parse_config, run_flag
+from .engine import SpecError, builtin_spec
 from .metrics import comm_cost_closed_form, conv_flops
 
 EXIT_OK = 0
@@ -28,34 +21,11 @@ EXIT_RUNTIME = 2
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="INI config file (flags override it)")
-    p.add_argument("--algorithm", choices=ALGORITHM_CHOICES, default=None)
-    p.add_argument("--dataset", choices=DATASETS, default=None)
-    p.add_argument("--data-root", dest="data_root", default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--clients", type=int, default=None)
-    p.add_argument("--sampling-rate", dest="sampling_rate", type=float, default=None)
-    p.add_argument("--epochs", dest="local_epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--r-us", dest="rate_unstructured", type=float, default=None)
-    p.add_argument("--r-s", dest="rate_structured", type=float, default=None)
-    p.add_argument("--p-us", dest="target_unstructured", type=float, default=None)
-    p.add_argument("--p-s", dest="target_structured", type=float, default=None)
-    p.add_argument("--eps-us", dest="eps_unstructured", type=float, default=None)
-    p.add_argument("--eps-s", dest="eps_structured", type=float, default=None)
-    p.add_argument("--acc-th", dest="acc_threshold", type=float, default=None)
-    p.add_argument("--aggregation", choices=AGGREGATION_CHOICES, default=None)
-    p.add_argument("--shard-size", dest="shard_size", type=int, default=None)
-    p.add_argument("--shards-per-client", dest="shards_per_client", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", dest="output_dir", default=None)
-    p.add_argument("--parallelism", type=int, default=None)
-    p.add_argument("--synth-classes", dest="synth_classes", type=int, default=None)
-    p.add_argument("--synth-per-class", dest="synth_per_class", type=int, default=None)
-    p.add_argument("--synth-test-per-class", dest="synth_test_per_class", type=int, default=None)
-    p.add_argument("--synth-separation", dest="synth_separation", type=float, default=None)
+    for f in fields(ExperimentConfig):
+        flag = run_flag(f)
+        if flag:
+            p.add_argument(flag, dest=f.name, type=VALUE_TYPES.get(f.type),
+                           choices=f.metadata.get("choices"), default=None)
     p.add_argument("--quiet", action="store_true")
 
 
@@ -121,7 +91,10 @@ def cmd_flops(args) -> int:
 
     if not 0 <= args.channel_prune < 100:
         raise ConfigError(f"--channel-prune: must lie in [0, 100), got {args.channel_prune}")
-    spec = builtin_spec(args.model)
+    try:
+        spec = builtin_spec(args.model)
+    except SpecError as exc:
+        raise ConfigError(f"--model: {exc}") from None
     keep_sets = None
     if args.channel_prune:
         keep_sets = {}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 
 DATASETS = ("mnist", "emnist", "cifar10", "cifar100", "synthetic")
@@ -18,46 +18,48 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(section: str, default, **meta):
+    """A config field and where it is set from: its INI `section`, and in
+    `meta` any of `flag` (its `subfed run` option, if not `--<name-with-dashes>`;
+    None for none), `choices` and `ini_key` (its INI key, if not its name)."""
+    return field(default=default, metadata=dict(meta, section=section))
+
+
 @dataclass
 class ExperimentConfig:
-    # [experiment]
-    algorithm: str = "sub-fedavg-un"
-    rounds: int = 50
-    seed: int = 0
-    output_dir: str = "runs"
-    parallelism: int = 1  # per-client worker threads; 0 = every usable CPU
+    algorithm: str = _key("experiment", "sub-fedavg-un", choices=ALGORITHM_CHOICES)
+    rounds: int = _key("experiment", 50)
+    seed: int = _key("experiment", 0)
+    output_dir: str = _key("experiment", "runs", flag="--out")
+    parallelism: int = _key("experiment", 1)  # per-client worker threads; 0 = every usable CPU
 
-    # [data]
-    dataset: str = "synthetic"
-    data_root: str = ""
-    clients: int = 100
-    shard_size: int = 0  # 0 = dataset default (250; 125 for cifar100)
-    shards_per_client: int = 2
-    val_fraction: float = 0.1
-    synth_classes: int = 10
-    synth_per_class: int = 600
-    synth_test_per_class: int = 100
-    synth_separation: float = 0.35
+    dataset: str = _key("data", "synthetic", choices=DATASETS)
+    data_root: str = _key("data", "")
+    clients: int = _key("data", 100)
+    shard_size: int = _key("data", 0)  # 0 = dataset default (250; 125 for cifar100)
+    shards_per_client: int = _key("data", 2)
+    val_fraction: float = _key("data", 0.1, flag=None)
+    synth_classes: int = _key("data", 10)
+    synth_per_class: int = _key("data", 600)
+    synth_test_per_class: int = _key("data", 100)
+    synth_separation: float = _key("data", 0.35)
 
-    # [model]
-    model: str = ""  # "" = dataset default
+    model: str = _key("model", "", ini_key="name")  # "" = dataset default
 
-    # [training]
-    sampling_rate: float = 0.1
-    local_epochs: int = 5
-    batch_size: int = 10
-    learning_rate: float = 0.01
-    momentum: float = 0.5
+    sampling_rate: float = _key("training", 0.1)
+    local_epochs: int = _key("training", 5, flag="--epochs")
+    batch_size: int = _key("training", 10)
+    learning_rate: float = _key("training", 0.01, flag="--lr")
+    momentum: float = _key("training", 0.5)
 
-    # [pruning]
-    rate_unstructured: float = 10.0
-    rate_structured: float = 10.0
-    target_unstructured: float = 30.0
-    target_structured: float = 50.0
-    eps_unstructured: float = 1e-4
-    eps_structured: float = 0.05
-    acc_threshold: float = 50.0
-    aggregation: str = "per-position"
+    rate_unstructured: float = _key("pruning", 10.0, flag="--r-us")
+    rate_structured: float = _key("pruning", 10.0, flag="--r-s")
+    target_unstructured: float = _key("pruning", 30.0, flag="--p-us")
+    target_structured: float = _key("pruning", 50.0, flag="--p-s")
+    eps_unstructured: float = _key("pruning", 1e-4, flag="--eps-us")
+    eps_structured: float = _key("pruning", 0.05, flag="--eps-s")
+    acc_threshold: float = _key("pruning", 50.0, flag="--acc-th")
+    aggregation: str = _key("pruning", "per-position", choices=AGGREGATION_CHOICES)
 
     def resolved_shard_size(self) -> int:
         if self.shard_size:
@@ -80,51 +82,48 @@ class ExperimentConfig:
         return Path(root) if root else None
 
 
-_SECTIONS = {
-    "experiment": ("algorithm", "rounds", "seed", "output_dir", "parallelism"),
-    "data": (
-        "dataset", "data_root", "clients", "shard_size", "shards_per_client",
-        "val_fraction", "synth_classes", "synth_per_class", "synth_test_per_class",
-        "synth_separation",
-    ),
-    "model": ("model",),
-    "training": ("sampling_rate", "local_epochs", "batch_size", "learning_rate", "momentum"),
-    "pruning": (
-        "rate_unstructured", "rate_structured", "target_unstructured", "target_structured",
-        "eps_unstructured", "eps_structured", "acc_threshold", "aggregation",
-    ),
-}
-# [model] holds a single key also called "model"; the file spells it "name"
-_FILE_KEY_ALIASES = {("model", "name"): "model"}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+    def validation_size(self, examples: int) -> int:
+        """How many of a client's `examples` it holds out as its validation split."""
+        return max(1, int(round(self.val_fraction * examples)))
 
 
-def _coerce(field_name: str, raw: str):
-    kind = _FIELD_TYPES[field_name]
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+# section -> {INI key: field}, in declaration order
+_INI_KEYS: dict[str, dict] = {}
+for _f in _FIELDS.values():
+    _INI_KEYS.setdefault(_f.metadata["section"], {})[_f.metadata.get("ini_key", _f.name)] = _f
+# how an int or float field's value is read from text (an INI value, a flag);
+# a str field takes the text as it is
+VALUE_TYPES = {"int": int, "float": float}
+
+
+def run_flag(f: Field) -> str | None:
+    """A field's `subfed run` option, or None if it is set only from a file."""
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
+def parse_value(key: str, raw: str):
+    """A config key's value read from text, as its field's type."""
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown config key '{key}'")
+    kind = _FIELDS[key].type
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return VALUE_TYPES.get(kind, str)(raw)
     except ValueError:
-        raise ConfigError(f"key '{field_name}': cannot parse {raw!r} as {kind}") from None
+        raise ConfigError(f"key '{key}': cannot parse {raw!r} as {kind}") from None
 
 
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     def reject(msg):
         raise ConfigError(msg)
 
-    for key, kind in _FIELD_TYPES.items():  # NaN passes every range check below
-        if kind == "float" and not math.isfinite(getattr(cfg, key)):
-            reject(f"key '{key}': must be a finite number, got {getattr(cfg, key)}")
-    if cfg.algorithm not in ALGORITHM_CHOICES:
-        reject(f"key 'algorithm': {cfg.algorithm!r} not in {ALGORITHM_CHOICES}")
-    if cfg.dataset not in DATASETS:
-        reject(f"key 'dataset': {cfg.dataset!r} not in {DATASETS}")
-    if cfg.aggregation not in AGGREGATION_CHOICES:
-        reject(f"key 'aggregation': {cfg.aggregation!r} not in {AGGREGATION_CHOICES}")
+    for key, f in _FIELDS.items():
+        value = getattr(cfg, key)
+        if f.type == "float" and not math.isfinite(value):  # NaN passes every range check
+            reject(f"key '{key}': must be a finite number, got {value}")
+        choices = f.metadata.get("choices")
+        if choices and value not in choices:
+            reject(f"key '{key}': {value!r} not in {choices}")
     if cfg.rounds < 1:
         reject(f"key 'rounds': must be >= 1, got {cfg.rounds}")
     if cfg.clients < 1:
@@ -158,6 +157,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
         reject(f"key 'shard_size': must be >= 0, got {cfg.shard_size}")
     if cfg.shards_per_client < 1:
         reject(f"key 'shards_per_client': must be >= 1, got {cfg.shards_per_client}")
+    examples = cfg.resolved_shard_size() * cfg.shards_per_client
+    if cfg.validation_size(examples) == examples:
+        reject(
+            f"keys 'shard_size'/'shards_per_client'/'val_fraction': all {examples} of a "
+            f"client's examples go to its validation split, leaving none to train on"
+        )
     if cfg.parallelism < 0:
         reject(f"key 'parallelism': must be >= 0, got {cfg.parallelism}")
     if cfg.dataset == "synthetic":
@@ -203,20 +208,20 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         for section in parser.sections():
-            if section not in _SECTIONS:
+            if section not in _INI_KEYS:
                 raise ConfigError(
-                    f"{path}: unknown section [{section}]; expected {sorted(_SECTIONS)}"
+                    f"{path}: unknown section [{section}]; expected {sorted(_INI_KEYS)}"
                 )
             for key, raw in parser.items(section):
-                field_name = _FILE_KEY_ALIASES.get((section, key), key)
-                if field_name not in _SECTIONS[section]:
+                if key not in _INI_KEYS[section]:
                     raise ConfigError(f"{path}: unknown key '{key}' in section [{section}]")
-                values[field_name] = _coerce(field_name, raw)
+                name = _INI_KEYS[section][key].name
+                values[name] = parse_value(name, raw)
     if overrides:
         for key, value in overrides.items():
             if value is None:
                 continue
-            if key not in _FIELD_TYPES:
+            if key not in _FIELDS:
                 raise ConfigError(f"unknown config key '{key}'")
             values[key] = value
     return _validate(ExperimentConfig(**values))
@@ -225,10 +230,8 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None
 def config_to_ini(cfg: ExperimentConfig) -> str:
     """Serialize the resolved config (provenance echo embedded in run outputs)."""
     lines = []
-    for section, keys in _SECTIONS.items():
+    for section, keys in _INI_KEYS.items():
         lines.append(f"[{section}]")
-        for key in keys:
-            file_key = "name" if (section, key) == ("model", "model") else key
-            lines.append(f"{file_key} = {getattr(cfg, key)}")
+        lines.extend(f"{key} = {getattr(cfg, f.name)}" for key, f in keys.items())
         lines.append("")
     return "\n".join(lines)

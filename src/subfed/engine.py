@@ -298,9 +298,7 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ParamSet:
 
 @dataclass
 class ForwardCache:
-    spec: ModelSpec
     mode: str
-    batch_size: int
     records: list  # (name, desc, layer-specific cache); empty in eval mode
     logits: np.ndarray
     params: ParamSet
@@ -616,7 +614,7 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
             x = x @ params[(name, ROLE_WEIGHT)].T
             x += params[(name, ROLE_BIAS)]
             owned = True
-    return x, ForwardCache(spec, mode, batch.shape[0], records, x, params)
+    return x, ForwardCache(mode, records, x, params)
 
 
 def backward(cache: ForwardCache, labels: np.ndarray):

@@ -143,7 +143,7 @@ def build_experiment(cfg: ExperimentConfig):
     for cid, indices in partition.assignment.items():
         rng = np.random.default_rng((cfg.seed, 31, cid))
         perm = rng.permutation(len(indices))
-        n_val = max(1, int(round(cfg.val_fraction * len(indices))))
+        n_val = cfg.validation_size(len(indices))
         val_idx = indices[perm[:n_val]]
         train_idx = indices[perm[n_val:]]
         eval_idx = partition.eval_assignment[cid]
@@ -210,6 +210,20 @@ def _next_run_name(out_root: Path) -> str:
         if suffix.isdigit():
             taken.append(int(suffix))
     return f"run-{(max(taken) + 1 if taken else 1):04d}"
+
+
+def _publish(tmp: Path, out_root: Path) -> Path:
+    """Rename a finished run directory to the next free run-NNNN. The name is
+    claimed by creating it, which fails if another run took it since the scan;
+    then the rename replaces the claimed, still empty, directory."""
+    while True:
+        final = out_root / _next_run_name(out_root)
+        try:
+            final.mkdir()
+        except FileExistsError:
+            continue
+        os.replace(tmp, final)
+        return final
 
 
 def write_round_artifacts(run_dir: Path, cfg: ExperimentConfig, records: list[dict]) -> None:
@@ -320,10 +334,7 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     write_round_artifacts(tmp, cfg, records)
     (tmp / "config.ini").write_text(config_to_ini(cfg))
 
-    out_root = Path(cfg.output_dir)
-    final = out_root / _next_run_name(out_root)
-    os.replace(tmp, final)
-    return final
+    return _publish(tmp, Path(cfg.output_dir))
 
 
 # ---------------------------------------------------------------------------

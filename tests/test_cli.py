@@ -59,6 +59,15 @@ class TestRunVerb:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_split_leaving_no_training_example_exit_code(self, tmp_path, capsys):
+        code = main(["run", *TINY, "--shard-size", "1", "--shards-per-client", "1",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "config error: keys 'shard_size'/'shards_per_client'/'val_fraction'" in (
+            capsys.readouterr().err
+        )
+        assert not run_dirs(tmp_path)
+
     @pytest.mark.parametrize("flag, value", [("--eps-us", "nan"), ("--lr", "inf")])
     def test_non_finite_float_is_a_config_error(self, tmp_path, capsys, flag, value):
         code = main(["run", *TINY, flag, value, "--out", str(tmp_path)])
@@ -182,6 +191,12 @@ class TestSmallVerbs:
             assert code == 1 and out == ""
             assert "config error: --channel-prune: must lie in [0, 100)" in err
 
+    def test_flops_unknown_model_is_a_config_error(self, capsys):
+        code = main(["flops", "--model", "bogus"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "config error: --model: unknown model spec 'bogus'" in err
+
     def test_flops_dense(self, capsys):
         assert main(["flops", "--model", "cnn5-mnist"]) == 0
         assert "reduction 1.0000x" in capsys.readouterr().out
@@ -256,3 +271,54 @@ class TestRunFlags:
             args = build_parser().parse_args(["run", action.option_strings[0], str(value)])
             cfg = _config_from_args(args)
             assert getattr(cfg, action.dest) == value, action.option_strings[0]
+
+    # (option strings, dest, type, choices, default) of every `run` option
+    RUN_OPTIONS = [
+        (("--acc-th",), "acc_threshold", float, None, None),
+        (("--aggregation",), "aggregation", None, ("per-position", "strict-intersection"), None),
+        (("--algorithm",), "algorithm", None,
+         ("sub-fedavg-un", "sub-fedavg-hy", "fedavg", "standalone"), None),
+        (("--batch-size",), "batch_size", int, None, None),
+        (("--clients",), "clients", int, None, None),
+        (("--config",), "config", None, None, None),
+        (("--data-root",), "data_root", None, None, None),
+        (("--dataset",), "dataset", None,
+         ("mnist", "emnist", "cifar10", "cifar100", "synthetic"), None),
+        (("--epochs",), "local_epochs", int, None, None),
+        (("--eps-s",), "eps_structured", float, None, None),
+        (("--eps-us",), "eps_unstructured", float, None, None),
+        (("--lr",), "learning_rate", float, None, None),
+        (("--model",), "model", None, None, None),
+        (("--momentum",), "momentum", float, None, None),
+        (("--out",), "output_dir", None, None, None),
+        (("--p-s",), "target_structured", float, None, None),
+        (("--p-us",), "target_unstructured", float, None, None),
+        (("--parallelism",), "parallelism", int, None, None),
+        (("--quiet",), "quiet", None, None, False),
+        (("--r-s",), "rate_structured", float, None, None),
+        (("--r-us",), "rate_unstructured", float, None, None),
+        (("--rounds",), "rounds", int, None, None),
+        (("--sampling-rate",), "sampling_rate", float, None, None),
+        (("--seed",), "seed", int, None, None),
+        (("--shard-size",), "shard_size", int, None, None),
+        (("--shards-per-client",), "shards_per_client", int, None, None),
+        (("--synth-classes",), "synth_classes", int, None, None),
+        (("--synth-per-class",), "synth_per_class", int, None, None),
+        (("--synth-separation",), "synth_separation", float, None, None),
+        (("--synth-test-per-class",), "synth_test_per_class", int, None, None),
+    ]
+
+    @pytest.mark.parametrize("verb, extra", [
+        ("run", []),
+        ("partition-dump", [(("--dump-out",), "dump_out", None, None, None)]),
+    ])
+    def test_options_pinned(self, verb, extra):
+        """The options of `run` and `partition-dump`; only their order in
+        --help is free."""
+        (verbs,) = [a for a in build_parser()._actions if a.dest == "command"]
+        table = sorted(
+            (tuple(a.option_strings), a.dest, a.type,
+             tuple(a.choices) if a.choices else None, a.default)
+            for a in verbs.choices[verb]._actions if a.dest != "help"
+        )
+        assert table == sorted(self.RUN_OPTIONS + extra)

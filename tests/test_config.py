@@ -1,8 +1,16 @@
+import hashlib
+import importlib.util
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from subfed.config import ConfigError, ExperimentConfig, config_to_ini, parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 class TestDefaults:
@@ -80,6 +88,13 @@ class TestFileParsing:
         path.write_text("[data]\ndataset = synthetic\n[model]\nname = cnn5-mnist\n")
         assert parse_config(path).model == "cnn5-mnist"
 
+    def test_readme_example_parses(self, tmp_path):
+        example = (ROOT / "README.md").read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        cfg = parse_config(path)
+        assert (cfg.rounds, cfg.parallelism, cfg.model) == (30, 1, "synth-cnn")
+
 
 class TestValidation:
     def test_target_out_of_range(self):
@@ -124,6 +139,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="local_epochs"):
             parse_config(overrides={"dataset": "synthetic", "local_epochs": 1})
 
+    @pytest.mark.parametrize("split", [
+        dict(shard_size=1, shards_per_client=1),
+        dict(shard_size=2, shards_per_client=1, val_fraction=0.9),
+        dict(shard_size=5, shards_per_client=2, val_fraction=0.95),
+    ])
+    def test_split_leaving_no_training_example_rejected(self, split):
+        with pytest.raises(ConfigError, match="'shard_size'/'shards_per_client'/'val_fraction'"):
+            parse_config(overrides=dict(dataset="synthetic", **split))
+
+    def test_split_leaving_one_training_example_accepted(self):
+        cfg = parse_config(overrides=dict(dataset="synthetic", shard_size=1))
+        assert cfg.validation_size(2) == 1
+
 
 class TestEcho:
     def test_ini_round_trip(self, tmp_path):
@@ -134,3 +162,55 @@ class TestEcho:
         path = tmp_path / "echo.ini"
         path.write_text(config_to_ini(cfg))
         assert parse_config(path) == cfg
+
+    def test_default_echo_bytes(self):
+        assert config_to_ini(ExperimentConfig()) == (
+            "[experiment]\n"
+            "algorithm = sub-fedavg-un\n"
+            "rounds = 50\n"
+            "seed = 0\n"
+            "output_dir = runs\n"
+            "parallelism = 1\n"
+            "\n"
+            "[data]\n"
+            "dataset = synthetic\n"
+            "data_root = \n"
+            "clients = 100\n"
+            "shard_size = 0\n"
+            "shards_per_client = 2\n"
+            "val_fraction = 0.1\n"
+            "synth_classes = 10\n"
+            "synth_per_class = 600\n"
+            "synth_test_per_class = 100\n"
+            "synth_separation = 0.35\n"
+            "\n"
+            "[model]\n"
+            "name = \n"
+            "\n"
+            "[training]\n"
+            "sampling_rate = 0.1\n"
+            "local_epochs = 5\n"
+            "batch_size = 10\n"
+            "learning_rate = 0.01\n"
+            "momentum = 0.5\n"
+            "\n"
+            "[pruning]\n"
+            "rate_unstructured = 10.0\n"
+            "rate_structured = 10.0\n"
+            "target_unstructured = 30.0\n"
+            "target_structured = 50.0\n"
+            "eps_unstructured = 0.0001\n"
+            "eps_structured = 0.05\n"
+            "acc_threshold = 50.0\n"
+            "aggregation = per-position\n"
+        )
+
+    @pytest.mark.parametrize("workload, sha256", [
+        ("accept-un", "266b32589f70c26d6b83ac5f39e3780e2e38b5373ae03e717a0b67d4eca98e98"),
+        ("cnn5-fedavg-p2", "3404168c36e19ac16e909cec37419edac49c0e8c506e24817b31e0de48cc91f5"),
+        ("lenet5-hy", "d2dac5ba89bf64c90c9b161658983bd3be271449879c3470bd2ec34bcee50f16"),
+    ])
+    def test_workload_echo_bytes(self, workload, sha256):
+        """Each benchmark workload's config.ini, pinned by its digest at seed 1."""
+        cfg = parse_config(overrides=workloads.overrides(workload, 1, "runs"))
+        assert hashlib.sha256(config_to_ini(cfg).encode()).hexdigest() == sha256

@@ -119,6 +119,36 @@ def test_round_artifacts_rebuild_from_records(tmp_path, algorithm, sampling_rate
         assert (rebuilt / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
+def test_run_name_taken_before_the_rename_moves_to_the_next(tmp_path, monkeypatch):
+    """Another run that takes run-0001 between this run's scan and its rename
+    keeps that directory as it was; this run finishes as run-0002."""
+    scan = experiment._next_run_name
+
+    def scan_then_lose_the_name(out_root):
+        name = scan(out_root)
+        if name == "run-0001":
+            (out_root / name).mkdir()
+            (out_root / name / "summary.csv").write_text("the other run\n")
+        return name
+
+    monkeypatch.setattr(experiment, "_next_run_name", scan_then_lose_the_name)
+    run_dir = run(tmp_path, SMALL, rounds=1, algorithm="standalone")
+    assert run_dir == tmp_path / "run-0002"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run-0001", "run-0002"]
+    assert [p.name for p in (tmp_path / "run-0001").iterdir()] == ["summary.csv"]
+    assert (tmp_path / "run-0001" / "summary.csv").read_text() == "the other run\n"
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted((*ARTIFACTS, "config.ini"))
+
+
+def test_every_client_trains_on_what_its_validation_split_leaves(tmp_path):
+    """The smallest split the config accepts: two one-example shards, one of
+    them held out."""
+    cfg = parse_config(overrides=dict(SMALL, shard_size=1, output_dir=str(tmp_path)))
+    _, clients = experiment.build_experiment(cfg)
+    for client in clients.values():
+        assert (len(client.x_train), len(client.x_val)) == (1, 1)
+
+
 class TestResolveParallelism:
     def test_zero_means_every_usable_cpu(self):
         usable = (
