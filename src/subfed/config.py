@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import operator
 import os
 from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
@@ -21,24 +22,25 @@ class ConfigError(ValueError):
 def _key(section: str, default, **meta):
     """A config field and where it is set from: its INI `section`, and in
     `meta` any of `flag` (its `subfed run` option, if not `--<name-with-dashes>`;
-    None for none), `choices` and `ini_key` (its INI key, if not its name)."""
+    None for none), `choices`, `ini_key` (its INI key, if not its name) and
+    the bounds `ge`, `gt`, `le`, `lt` its value must keep (see `_BOUNDS`)."""
     return field(default=default, metadata=dict(meta, section=section))
 
 
 @dataclass
 class ExperimentConfig:
     algorithm: str = _key("experiment", "sub-fedavg-un", choices=ALGORITHM_CHOICES)
-    rounds: int = _key("experiment", 50)
+    rounds: int = _key("experiment", 50, ge=1)
     seed: int = _key("experiment", 0)
     output_dir: str = _key("experiment", "runs", flag="--out")
-    parallelism: int = _key("experiment", 1)  # per-client worker threads; 0 = every usable CPU
+    parallelism: int = _key("experiment", 1, ge=0)  # per-client worker threads; 0 = every usable CPU
 
     dataset: str = _key("data", "synthetic", choices=DATASETS)
     data_root: str = _key("data", "")
-    clients: int = _key("data", 100)
-    shard_size: int = _key("data", 0)  # 0 = dataset default (250; 125 for cifar100)
-    shards_per_client: int = _key("data", 2)
-    val_fraction: float = _key("data", 0.1, flag=None)
+    clients: int = _key("data", 100, ge=1)
+    shard_size: int = _key("data", 0, ge=0)  # 0 = dataset default (250; 125 for cifar100)
+    shards_per_client: int = _key("data", 2, ge=1)
+    val_fraction: float = _key("data", 0.1, flag=None, gt=0, lt=1)
     synth_classes: int = _key("data", 10)
     synth_per_class: int = _key("data", 600)
     synth_test_per_class: int = _key("data", 100)
@@ -46,19 +48,19 @@ class ExperimentConfig:
 
     model: str = _key("model", "", ini_key="name")  # "" = dataset default
 
-    sampling_rate: float = _key("training", 0.1)
-    local_epochs: int = _key("training", 5, flag="--epochs")
-    batch_size: int = _key("training", 10)
-    learning_rate: float = _key("training", 0.01, flag="--lr")
-    momentum: float = _key("training", 0.5)
+    sampling_rate: float = _key("training", 0.1, gt=0, le=1)
+    local_epochs: int = _key("training", 5, flag="--epochs", ge=2)
+    batch_size: int = _key("training", 10, ge=1)
+    learning_rate: float = _key("training", 0.01, flag="--lr", gt=0)
+    momentum: float = _key("training", 0.5, ge=0, lt=1)
 
-    rate_unstructured: float = _key("pruning", 10.0, flag="--r-us")
-    rate_structured: float = _key("pruning", 10.0, flag="--r-s")
-    target_unstructured: float = _key("pruning", 30.0, flag="--p-us")
-    target_structured: float = _key("pruning", 50.0, flag="--p-s")
-    eps_unstructured: float = _key("pruning", 1e-4, flag="--eps-us")
-    eps_structured: float = _key("pruning", 0.05, flag="--eps-s")
-    acc_threshold: float = _key("pruning", 50.0, flag="--acc-th")
+    rate_unstructured: float = _key("pruning", 10.0, flag="--r-us", ge=0, le=100)
+    rate_structured: float = _key("pruning", 10.0, flag="--r-s", ge=0, le=100)
+    target_unstructured: float = _key("pruning", 30.0, flag="--p-us", ge=0, lt=100)
+    target_structured: float = _key("pruning", 50.0, flag="--p-s", ge=0, lt=100)
+    eps_unstructured: float = _key("pruning", 1e-4, flag="--eps-us", ge=0)
+    eps_structured: float = _key("pruning", 0.05, flag="--eps-s", ge=0)
+    acc_threshold: float = _key("pruning", 50.0, flag="--acc-th", ge=0, le=101)
     aggregation: str = _key("pruning", "per-position", choices=AGGREGATION_CHOICES)
 
     def resolved_shard_size(self) -> int:
@@ -92,6 +94,9 @@ _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 _INI_KEYS: dict[str, dict] = {}
 for _f in _FIELDS.values():
     _INI_KEYS.setdefault(_f.metadata["section"], {})[_f.metadata.get("ini_key", _f.name)] = _f
+# a field's bound -> (the test its value must pass, the bound's sign in a message)
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+           "le": (operator.le, "<="), "lt": (operator.lt, "<")}
 # how an int or float field's value is read from text (an INI value, a flag);
 # a str field takes the text as it is
 VALUE_TYPES = {"int": int, "float": float}
@@ -119,52 +124,20 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
 
     for key, f in _FIELDS.items():
         value = getattr(cfg, key)
-        if f.type == "float" and not math.isfinite(value):  # NaN passes every range check
+        if f.type == "float" and not math.isfinite(value):
             reject(f"key '{key}': must be a finite number, got {value}")
+        for bound, (holds, sign) in _BOUNDS.items():
+            if bound in f.metadata and not holds(value, f.metadata[bound]):
+                reject(f"key '{key}': must be {sign} {f.metadata[bound]}, got {value}")
         choices = f.metadata.get("choices")
         if choices and value not in choices:
             reject(f"key '{key}': {value!r} not in {choices}")
-    if cfg.rounds < 1:
-        reject(f"key 'rounds': must be >= 1, got {cfg.rounds}")
-    if cfg.clients < 1:
-        reject(f"key 'clients': must be >= 1, got {cfg.clients}")
-    if not 0 < cfg.sampling_rate <= 1:
-        reject(f"key 'sampling_rate': must lie in (0, 1], got {cfg.sampling_rate}")
-    if cfg.local_epochs < 2:
-        reject(f"key 'local_epochs': must be >= 2, got {cfg.local_epochs}")
-    if cfg.batch_size < 1:
-        reject(f"key 'batch_size': must be >= 1, got {cfg.batch_size}")
-    if cfg.learning_rate <= 0:
-        reject(f"key 'learning_rate': must be positive, got {cfg.learning_rate}")
-    if not 0 <= cfg.momentum < 1:
-        reject(f"key 'momentum': must lie in [0, 1), got {cfg.momentum}")
-    for key in ("rate_unstructured", "rate_structured"):
-        value = getattr(cfg, key)
-        if not 0 <= value <= 100:
-            reject(f"key '{key}': must lie in [0, 100], got {value}")
-    for key in ("target_unstructured", "target_structured"):
-        value = getattr(cfg, key)
-        if not 0 <= value < 100:
-            reject(f"key '{key}': must lie in [0, 100), got {value}")
-    for key in ("eps_unstructured", "eps_structured"):
-        if getattr(cfg, key) < 0:
-            reject(f"key '{key}': must be non-negative")
-    if not 0 <= cfg.acc_threshold <= 101:
-        reject(f"key 'acc_threshold': must lie in [0, 101], got {cfg.acc_threshold}")
-    if not 0 < cfg.val_fraction < 1:
-        reject(f"key 'val_fraction': must lie in (0, 1), got {cfg.val_fraction}")
-    if cfg.shard_size < 0:
-        reject(f"key 'shard_size': must be >= 0, got {cfg.shard_size}")
-    if cfg.shards_per_client < 1:
-        reject(f"key 'shards_per_client': must be >= 1, got {cfg.shards_per_client}")
     examples = cfg.resolved_shard_size() * cfg.shards_per_client
     if cfg.validation_size(examples) == examples:
         reject(
             f"keys 'shard_size'/'shards_per_client'/'val_fraction': all {examples} of a "
             f"client's examples go to its validation split, leaving none to train on"
         )
-    if cfg.parallelism < 0:
-        reject(f"key 'parallelism': must be >= 0, got {cfg.parallelism}")
     if cfg.dataset == "synthetic":
         if cfg.synth_classes < 2:
             reject(f"key 'synth_classes': must be >= 2, got {cfg.synth_classes}")

@@ -24,7 +24,7 @@ from .engine import (
     forward,
     sgd_step,
 )
-from .metrics import BITS_PER_SCALAR, conv_flops
+from .metrics import BITS_PER_MASK_POSITION, BITS_PER_SCALAR, conv_flops
 from .pruning import (
     MaskCongruenceError,
     PruneSchedule,
@@ -247,7 +247,7 @@ def client_update(
     if exchange:
         uplink_bits = BITS_PER_SCALAR * retained_scalar_count(params, client.mask)
         if mask_changed:
-            uplink_bits += client.mask.bit_length()
+            uplink_bits += BITS_PER_MASK_POSITION * client.mask.bit_length()
     return ClientUpdateResult(
         client_id=client.client_id,
         params=params,

@@ -194,10 +194,12 @@ def derive_unstructured_mask(
 
 
 def derive_channel_mask(params: ParamSet, fraction: float) -> SparsityMask:
-    """Prune floor(fraction% of all conv channels), lowest |BN scale| first.
+    """Prune floor(fraction% of the channels of the BN conv layers), lowest
+    |BN scale| first.
 
     Scales pool across every BN layer; ties break by (layer order, channel
-    index); each conv layer always keeps at least one channel.
+    index); each BN conv layer always keeps at least one channel. A conv
+    layer without BN has no scale to rank, so all of its channels are kept.
     """
     if not 0 <= fraction < 100:
         raise ValueError(f"fraction must lie in [0, 100), got {fraction}")

@@ -1,12 +1,22 @@
 """Shared test utilities: tiny specs, finite-difference oracle, random masks,
-reference kernels."""
+reference kernels, the benchmark's workloads."""
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
 from subfed import engine as E
 from subfed.engine import ModelSpec, ParamSet
+
+# perfbench/workloads.py, the benchmark's config overrides (perfbench/ is not a package)
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def tiny_dense_spec(in_features: int = 8, classes: int = 3) -> ModelSpec:

@@ -7,7 +7,9 @@ import pytest
 
 from subfed.cli import _add_run_flags, _config_from_args, build_parser, main
 from subfed.config import DATA_ROOT_ENV, ExperimentConfig, parse_config
+from subfed.engine import builtin_spec
 from subfed.experiment import compare_runs, run_experiment
+from subfed.metrics import conv_flops
 
 TINY = [
     "--dataset", "synthetic", "--clients", "4", "--rounds", "2",
@@ -141,6 +143,23 @@ class TestCompareVerb:
         assert entries[1]["algorithm"] == "fedavg"
         assert entries[1]["total_mb"] > 0.0
         assert str(a) in table
+
+    def test_flop_reduction_is_dense_over_last_round_mean(self, tmp_path):
+        pruned = tmp_path / "hy"
+        main(["run", *TINY, "--algorithm", "sub-fedavg-hy", "--acc-th", "0",
+              "--eps-s", "0", "--r-s", "20", "--p-s", "50", "--out", str(pruned)])
+        main(["run", *TINY, "--algorithm", "fedavg", "--out", str(tmp_path / "fedavg")])
+        (hy,) = run_dirs(pruned)
+        (dense,) = run_dirs(tmp_path / "fedavg")
+        last = json.loads((hy / "rounds.ndjson").read_text().splitlines()[-1])
+        per_client = [c["conv_flops"] for c in last["clients"]]
+        dense_flops = conv_flops(builtin_spec("synth-cnn")).dense_total
+        assert sum(per_client) < dense_flops * len(per_client)  # channels were pruned
+        entries, _ = compare_runs([hy, dense])
+        assert entries[0]["flop_reduction"] == pytest.approx(
+            dense_flops / (sum(per_client) / len(per_client)), rel=1e-12
+        )
+        assert entries[1]["flop_reduction"] == 1.0
 
     def test_missing_file_is_clear_error(self, tmp_path, capsys):
         run = self.make_run(tmp_path, "standalone")

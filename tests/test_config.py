@@ -1,16 +1,16 @@
 import hashlib
-import importlib.util
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from subfed.config import ConfigError, ExperimentConfig, config_to_ini, parse_config
+from subfed.cli import main
+from subfed.config import ConfigError, ExperimentConfig, config_to_ini, parse_config, run_flag
+
+from helpers import workloads
 
 ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
 
 
 class TestDefaults:
@@ -97,17 +97,9 @@ class TestFileParsing:
 
 
 class TestValidation:
-    def test_target_out_of_range(self):
-        with pytest.raises(ConfigError, match="target_unstructured"):
-            parse_config(overrides={"dataset": "synthetic", "target_unstructured": 120.0})
-
     def test_bad_algorithm(self):
         with pytest.raises(ConfigError, match="algorithm"):
             parse_config(overrides={"dataset": "synthetic", "algorithm": "fedprox"})
-
-    def test_momentum_range(self):
-        with pytest.raises(ConfigError, match="momentum"):
-            parse_config(overrides={"dataset": "synthetic", "momentum": 1.0})
 
     def test_file_dataset_requires_root(self, monkeypatch):
         monkeypatch.delenv("SUBFED_DATA_ROOT", raising=False)
@@ -135,10 +127,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="'learning_rate': must be a finite number"):
             parse_config(path)
 
-    def test_epochs_minimum(self):
-        with pytest.raises(ConfigError, match="local_epochs"):
-            parse_config(overrides={"dataset": "synthetic", "local_epochs": 1})
-
     @pytest.mark.parametrize("split", [
         dict(shard_size=1, shards_per_client=1),
         dict(shard_size=2, shards_per_client=1, val_fraction=0.9),
@@ -151,6 +139,84 @@ class TestValidation:
     def test_split_leaving_one_training_example_accepted(self):
         cfg = parse_config(overrides=dict(dataset="synthetic", shard_size=1))
         assert cfg.validation_size(2) == 1
+
+
+def below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def above(x):
+    return math.nextafter(x, math.inf)
+
+
+# Each bounded key: its bounds, the values accepted at each bound and inside
+# the range, and the nearest value outside each bound. val_fraction's upper
+# edge stops short of 1, because a fraction that rounds every example of a
+# client into its validation split is rejected by the split check.
+RANGES = {
+    "rounds": (dict(ge=1), [1, 50], [0]),
+    "parallelism": (dict(ge=0), [0, 2], [-1]),
+    "clients": (dict(ge=1), [1, 100], [0]),
+    "shard_size": (dict(ge=0), [0, 40], [-1]),
+    "shards_per_client": (dict(ge=1), [1, 3], [0]),
+    "val_fraction": (dict(gt=0, lt=1), [above(0.0), 0.1, 0.99], [0.0, 1.0]),
+    "sampling_rate": (dict(gt=0, le=1), [above(0.0), 0.5, 1.0], [0.0, above(1.0)]),
+    "local_epochs": (dict(ge=2), [2, 5], [1]),
+    "batch_size": (dict(ge=1), [1, 10], [0]),
+    "learning_rate": (dict(gt=0), [above(0.0), 0.01], [0.0]),
+    "momentum": (dict(ge=0, lt=1), [0.0, 0.5, below(1.0)], [below(0.0), 1.0]),
+    **{f"rate_{kind}": (dict(ge=0, le=100), [0.0, 10.0, 100.0], [below(0.0), above(100.0)])
+       for kind in ("unstructured", "structured")},
+    **{f"target_{kind}": (dict(ge=0, lt=100), [0.0, 50.0, below(100.0)],
+                          [below(0.0), 100.0])
+       for kind in ("unstructured", "structured")},
+    **{f"eps_{kind}": (dict(ge=0), [0.0, 0.05], [below(0.0)])
+       for kind in ("unstructured", "structured")},
+    "acc_threshold": (dict(ge=0, le=101), [0.0, 50.0, 101.0], [below(0.0), above(101.0)]),
+}
+FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+ACCEPTED = [(key, v) for key, (_, accepted, _) in RANGES.items() for v in accepted]
+REJECTED = [(key, v) for key, (_, _, rejected) in RANGES.items() for v in rejected]
+
+
+class TestRanges:
+    @pytest.mark.parametrize("key, value", ACCEPTED)
+    def test_value_at_or_inside_bound_accepted(self, key, value):
+        assert getattr(parse_config(overrides={"dataset": "synthetic", key: value}), key) == value
+
+    @pytest.mark.parametrize("key, value", REJECTED)
+    def test_nearest_value_outside_bound_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(overrides={"dataset": "synthetic", key: value})
+
+    @pytest.mark.parametrize("key, value", REJECTED)
+    def test_run_with_value_outside_bound_exits_1(self, tmp_path, capsys, key, value):
+        flag = run_flag(FIELDS[key])
+        ini = tmp_path / "exp.ini"
+        args = ["run", "--dataset", "synthetic", "--out", str(tmp_path / "runs"), "--quiet"]
+        if flag:
+            args.append(f"{flag}={value}")  # with `=`, as argparse takes -5e-324 for an option
+        else:
+            ini.write_text(f"[{FIELDS[key].metadata['section']}]\n{key} = {value}\n")
+            args += ["--config", str(ini)]
+        assert main(args) == 1
+        assert f"config error: key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key, value", REJECTED)
+    def test_range_error_names_value(self, key, value):
+        with pytest.raises(ConfigError, match=f"got {value}$"):
+            parse_config(overrides={"dataset": "synthetic", key: value})
+
+    def test_bounds_declared_on_fields(self):
+        """Each field declaring a bound declares exactly the ones above."""
+        declared = {
+            name: {b: f.metadata[b] for b in ("ge", "gt", "le", "lt") if b in f.metadata}
+            for name, f in FIELDS.items()
+        }
+        assert {name: b for name, b in declared.items() if b} == {
+            key: bounds for key, (bounds, _, _) in RANGES.items()
+        }
 
 
 class TestEcho:

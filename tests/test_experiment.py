@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -6,8 +7,13 @@ import pytest
 from subfed import experiment
 from subfed.config import ALGORITHM_CHOICES, parse_config
 from subfed.engine import evaluate_accuracy
-from subfed.experiment import resolve_parallelism, run_experiment, write_round_artifacts
+from subfed.experiment import (
+    build_experiment, resolve_parallelism, run_experiment, write_round_artifacts,
+)
+from subfed.federation import sample_clients
 from subfed.pruning import apply_mask
+
+from helpers import workloads
 
 ARTIFACTS = (
     "summary.csv", "client_accuracy.csv", "plot_accuracy_vs_round.csv",
@@ -160,3 +166,18 @@ class TestResolveParallelism:
     def test_explicit_count_kept(self):
         assert resolve_parallelism(1) == 1
         assert resolve_parallelism(3) == 3
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_perfbench_steps_per_round_counts_the_programs_steps(workload):
+    """perfbench's steps_per_s divides by workloads.steps_per_round, which
+    repeats the validation-split rule; the count must stay the SGD steps
+    the built experiment takes in a round."""
+    overrides = workloads.overrides(workload, 1, "runs")
+    cfg = parse_config(overrides=overrides)
+    server, clients = build_experiment(cfg)
+    steps = sum(
+        cfg.local_epochs * math.ceil(len(clients[cid].x_train) / cfg.batch_size)
+        for cid in sample_clients(server, 0)
+    )
+    assert steps == workloads.steps_per_round(overrides)

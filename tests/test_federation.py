@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from subfed import engine as E
+from subfed import federation
 from subfed.data import partition_shards, split_per_class, synth_dataset
 from subfed.engine import ModelSpec, ParamSet, builtin_spec, evaluate_accuracy, init_params
 from subfed.federation import (
@@ -377,6 +378,19 @@ class TestClientUpdate:
         assert res.pruned_unstructured
         retained = retained_scalar_count(client.params, client.mask)
         assert res.uplink_bits == 32 * retained + client.mask.bit_length()
+
+    def test_uplink_mask_bits_use_the_declared_width(self, monkeypatch):
+        monkeypatch.setattr(federation, "BITS_PER_MASK_POSITION", 2)
+        client = synthetic_client(
+            rate_unstructured=10.0, target_unstructured=50.0,
+            acc_threshold=0.0, eps_unstructured=0.0,
+        )
+        res = client_update(
+            client, client.params, 2, 10, rng=np.random.default_rng(7)
+        )
+        assert res.pruned_unstructured
+        retained = retained_scalar_count(client.params, client.mask)
+        assert res.uplink_bits == 32 * retained + 2 * client.mask.bit_length()
 
     def test_uplink_beats_dense_beyond_break_even(self):
         # mask overhead is 1 bit/position, so savings start past 1/32 sparsity

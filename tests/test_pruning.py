@@ -182,6 +182,21 @@ class TestChannel:
         assert not mask.bits[("conv2", "weight")][:, 1].any()
         assert mask.bits[("conv2", "weight")][:, 0].all()
 
+    def test_counts_and_prunes_only_bn_conv_channels(self):
+        spec = E.ModelSpec(
+            "t", (1, 8, 8),
+            (E.Conv(1, 4, 3, batch_norm=True), E.Relu(),
+             E.Conv(4, 6, 3), E.Relu(),
+             E.Flatten(), E.Dense(6 * 16, 3)),
+        )
+        params = init_params(spec, 0)
+        params[("conv1", "bn_scale")][...] = [0.9, 0.1, 0.5, 0.05]
+        params[("conv2", "weight")][...] = 1e-6  # the plain conv's filters are not ranked
+        mask = derive_channel_mask(params, 50)  # floor(0.5*4)=2 of the BN conv's 4 channels
+        assert mask.channel_keep["conv1"].tolist() == [True, False, True, False]
+        assert mask.channel_keep["conv2"].all()
+        assert mask.bits[("conv2", "bias")].all()
+
     def test_requires_a_bn_layer(self):
         params = vector_params([1.0, 2.0])
         with pytest.raises(MaskCongruenceError, match="BN"):
