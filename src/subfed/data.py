@@ -136,6 +136,15 @@ def synth_dataset(
     return Dataset(images, labels, class_count, name=f"synthetic-{class_count}x{per_class}")
 
 
+def label_blocks(dataset: Dataset) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The dataset sliced once into one (images, labels) block per class, each
+    in dataset order; every client that holds a class holds its block."""
+    return {
+        c: (dataset.images[idx], dataset.labels[idx])
+        for c, idx in dataset.per_class_indices().items()
+    }
+
+
 def split_per_class(dataset: Dataset, test_per_class: int) -> tuple[Dataset, Dataset]:
     """Deterministic train/test split taking the last test_per_class of each class."""
     train_idx, test_idx = [], []

@@ -20,6 +20,7 @@ from .config import ConfigError, ExperimentConfig, config_to_ini
 from .data import (
     Dataset,
     channel_stats,
+    label_blocks,
     load_cifar_binary,
     load_idx,
     normalize,
@@ -28,15 +29,17 @@ from .data import (
     split_per_class,
     synth_dataset,
 )
-from .engine import builtin_spec, evaluate_accuracy, init_params
+from .engine import builtin_spec, class_count, evaluate_accuracy, init_params
 from .federation import (
     ClientState,
     ServerState,
+    block_accuracy,
     client_mean,
     make_client,
     map_clients,
     run_round,
     sample_size,
+    served_accuracies,
 )
 from .metrics import BITS_PER_MASK_POSITION, BITS_PER_SCALAR, conv_flops
 from .pruning import PruneSchedule, apply_mask
@@ -131,9 +134,19 @@ def make_schedule(cfg: ExperimentConfig) -> PruneSchedule:
 
 
 def build_experiment(cfg: ExperimentConfig):
-    """Wire config -> (server, clients dict); deterministic in cfg.seed."""
+    """Wire config -> (server, clients dict); deterministic in cfg.seed.
+    Each client holds the test set's blocks of its labels (`label_blocks`),
+    sliced once and shared."""
     spec = builtin_spec(cfg.resolved_model())
     train, test = load_datasets(cfg)
+    outputs = class_count(spec)
+    if train.class_count > outputs:
+        keys = "'synth_classes'" if cfg.dataset == "synthetic" else "'dataset'"
+        raise ConfigError(
+            f"keys {keys}/'model': dataset {cfg.dataset!r} has {train.class_count} labels, "
+            f"more than the {outputs} outputs of model {spec.name!r}"
+        )
+    blocks = label_blocks(test)
     partition = partition_shards(
         train, test, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
     )
@@ -146,14 +159,13 @@ def build_experiment(cfg: ExperimentConfig):
         n_val = cfg.validation_size(len(indices))
         val_idx = indices[perm[:n_val]]
         train_idx = indices[perm[n_val:]]
-        eval_idx = partition.eval_assignment[cid]
         clients[cid] = make_client(
             cid,
             spec,
             theta0,
             train.images[train_idx], train.labels[train_idx],
             train.images[val_idx], train.labels[val_idx],
-            test.images[eval_idx], test.labels[eval_idx],
+            {c: blocks[c] for c in partition.client_labels[cid]},
             schedule,
             cfg.learning_rate,
             cfg.momentum,
@@ -296,34 +308,34 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     # Its served accuracy holds only if it was in the final round: every
     # aggregation since an earlier one has changed the global params.
     latest = {c["id"]: c for record in records for c in record["clients"]}
-    final_round = {c["id"] for c in records[-1]["clients"]} if records else set()
-
-    def table_row(cid: int) -> tuple:
-        client = clients[cid]
-        entry = latest.get(cid)
-        if entry is not None:
-            local = entry["local_accuracy"]
-        else:
-            local = evaluate_accuracy(server.spec, client.params, client.x_eval, client.y_eval)
-        if cfg.algorithm == "standalone":
-            served = local
-        elif cid in final_round:
-            served = entry["served_accuracy"]
-        else:
-            served = evaluate_accuracy(
-                server.spec, apply_mask(server.params, client.mask),
-                client.x_eval, client.y_eval,
-            )
-        return (
-            cid, local, served,
+    local = {cid: c["local_accuracy"] for cid, c in latest.items()}
+    unsampled = [cid for cid in sorted(clients) if cid not in latest]
+    local.update(zip(unsampled, map_clients(
+        lambda cid: block_accuracy(
+            evaluate_accuracy, server.spec, clients[cid].params, clients[cid].eval_blocks
+        ),
+        unsampled, parallelism,
+    )))
+    if cfg.algorithm == "standalone":
+        served = local
+    else:
+        served = {c["id"]: c["served_accuracy"] for c in records[-1]["clients"]}
+        stale = [cid for cid in sorted(clients) if cid not in served]
+        served.update(zip(stale, served_accuracies(
+            evaluate_accuracy, apply_mask, server.spec, server.params,
+            [clients[cid] for cid in stale], parallelism,
+        )))
+    client_rows = [
+        (
+            cid, local[cid], served[cid],
             client.mask.sparsity(),
             client.mask.covered_sparsity(),
             client.mask.channel_sparsity(),
             client.schedule.level_unstructured,
             client.schedule.level_structured,
         )
-
-    client_rows = map_clients(table_row, sorted(clients), parallelism)
+        for cid, client in sorted(clients.items())
+    ]
     _write_csv(
         tmp / "client_accuracy.csv", json.dumps(provenance_dict(cfg), sort_keys=True),
         ("client_id", "local_accuracy", "served_accuracy", "sparsity",

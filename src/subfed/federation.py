@@ -60,8 +60,7 @@ class ClientState:
     y_train: np.ndarray
     x_val: np.ndarray
     y_val: np.ndarray
-    x_eval: np.ndarray
-    y_eval: np.ndarray
+    eval_blocks: dict[int, tuple[np.ndarray, np.ndarray]]  # label -> (x, y), shared
     params: ParamSet
     mask: SparsityMask
     schedule: PruneSchedule
@@ -115,7 +114,8 @@ def make_client(
     client_id: int,
     spec: ModelSpec,
     theta0: ParamSet,
-    x_train, y_train, x_val, y_val, x_eval, y_eval,
+    x_train, y_train, x_val, y_val,
+    eval_blocks: dict[int, tuple[np.ndarray, np.ndarray]],
     schedule: PruneSchedule,
     learning_rate: float,
     momentum: float,
@@ -131,12 +131,58 @@ def make_client(
         spec=spec,
         x_train=x_train, y_train=y_train,
         x_val=x_val, y_val=y_val,
-        x_eval=x_eval, y_eval=y_eval,
+        eval_blocks=eval_blocks,
         params=params,
         mask=mask,
         schedule=schedule,
         optimizer=OptimizerState(learning_rate, momentum),
     )
+
+
+def _correct(evaluate, spec: ModelSpec, params: ParamSet, block) -> int:
+    """Examples of one label block that `params` classifies right. `evaluate`
+    is an `evaluate_accuracy` binding; its `100 * correct / len(x)` gives the
+    count back exactly."""
+    x, y = block
+    return round(evaluate(spec, params, x, y) * len(x) / 100)
+
+
+def _percent(correct: int, blocks: dict) -> float:
+    total = sum(len(y) for _, y in blocks.values())
+    return 100.0 * correct / total if total else 0.0
+
+
+def block_accuracy(evaluate, spec: ModelSpec, params: ParamSet, blocks: dict) -> float:
+    """Accuracy over a client's label blocks, `100 * sum(correct) / sum(n)`,
+    each block scored alone through `evaluate`."""
+    return _percent(sum(_correct(evaluate, spec, params, b) for b in blocks.values()), blocks)
+
+
+def served_accuracies(evaluate, mask_op, spec: ModelSpec, params: ParamSet,
+                      clients: list[ClientState], parallelism: int = 1) -> list[float]:
+    """Each client's `block_accuracy` under `params` through its own mask.
+    Clients whose masks are equal bit for bit share one served model
+    (`mask_op(params, mask)`), and each distinct (served model, label) pair
+    is scored once through `evaluate`, the pairs run by `map_clients`."""
+    served: dict[bytes, ParamSet] = {}
+    keys = []
+    for client in clients:
+        key = client.mask.flat.tobytes()
+        if key not in served:
+            served[key] = mask_op(params, client.mask)
+        keys.append(key)
+    pairs = {
+        (key, label): block
+        for key, client in zip(keys, clients) for label, block in client.eval_blocks.items()
+    }
+    counts = map_clients(
+        lambda pair: _correct(evaluate, spec, served[pair[0]], pairs[pair]), pairs, parallelism
+    )
+    correct = dict(zip(pairs, counts))
+    return [
+        _percent(sum(correct[key, label] for label in client.eval_blocks), client.eval_blocks)
+        for key, client in zip(keys, clients)
+    ]
 
 
 def retained_scalar_count(params: ParamSet, mask: SparsityMask) -> int:
@@ -239,7 +285,7 @@ def client_update(
             client.schedule = advance_schedule(client.schedule, "unstructured")
         params = apply_mask(params, client.mask)
 
-    local_acc = evaluate_accuracy(spec, params, client.x_eval, client.y_eval)
+    local_acc = block_accuracy(evaluate_accuracy, spec, params, client.eval_blocks)
     client.params = params
 
     mask_changed = pruned_us or pruned_s
@@ -377,7 +423,8 @@ def run_round(
     The local updates and the served evaluations run on `parallelism`
     workers. Concurrent and serial execution produce identical reports: every
     client update only touches its own state, and results fold in client-id
-    order.
+    order. Clients with bit-equal masks share their served model's scores
+    (`served_accuracies`).
     """
     if algorithm not in ALGORITHM_CHOICES:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHM_CHOICES}")
@@ -401,14 +448,11 @@ def run_round(
             server.params = aggregate_sub_fedavg(results, server.params, mode=aggregation_mode)
     server.round_index = round_index + 1
 
-    def serve(cid: int) -> float:
-        client = clients[cid]
-        return evaluate_accuracy(
-            server.spec, apply_mask(server.params, client.mask), client.x_eval, client.y_eval
-        )
-
     if exchange:
-        served = map_clients(serve, selected, parallelism)
+        served = served_accuracies(
+            evaluate_accuracy, apply_mask, server.spec, server.params,
+            [clients[cid] for cid in selected], parallelism,
+        )
     else:
         served = [r.local_accuracy for r in results]
     for r, acc in zip(results, served):

@@ -1,5 +1,5 @@
 """Shared test utilities: tiny specs, finite-difference oracle, random masks,
-reference kernels, the benchmark's workloads."""
+the label-block accuracy, reference kernels, the benchmark's workloads."""
 
 from __future__ import annotations
 
@@ -119,6 +119,20 @@ def train_briefly(spec, params, x, y, epochs=8, batch_size=16, lr=0.05, seed=0):
             _, grads = E.backward(cache, y[idx])
             E.sgd_step(params, grads, opt)
     return params
+
+
+def block_score(spec: ModelSpec, params: ParamSet, blocks: dict, batch_size: int = 256
+                ) -> float:
+    """A client's accuracy by its definition: `100 * sum(correct) / sum(n)`
+    over its label blocks, each block scored alone in eval batches of
+    `evaluate_accuracy`'s default size."""
+    correct = total = 0
+    for x, y in blocks.values():
+        for s in range(0, len(x), batch_size):
+            logits, _ = E.forward(spec, params, x[s:s + batch_size], "eval")
+            correct += int((logits.argmax(axis=1) == y[s:s + batch_size]).sum())
+        total += len(y)
+    return 100.0 * correct / total
 
 
 # ---------------------------------------------------------------------------

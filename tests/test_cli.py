@@ -3,6 +3,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subfed.cli import _add_run_flags, _config_from_args, build_parser, main
@@ -69,6 +70,44 @@ class TestRunVerb:
             capsys.readouterr().err
         )
         assert not run_dirs(tmp_path)
+
+    # 12 labels for the 10 outputs of synth-cnn: labels 10 and 11 are never predicted
+    MORE_LABELS = [
+        "--dataset", "synthetic", "--synth-classes", "12", "--clients", "8", "--rounds", "1",
+        "--shard-size", "20", "--synth-per-class", "60", "--synth-test-per-class", "10",
+        "--seed", "1", "--parallelism", "1", "--quiet",
+    ]
+
+    @pytest.mark.parametrize("extra", [[], ["--sampling-rate", "1.0"]])
+    def test_more_labels_than_model_outputs_exit_code(self, tmp_path, capsys, extra):
+        code = main(["run", *self.MORE_LABELS, *extra, "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: keys 'synth_classes'/'model': dataset 'synthetic' has 12 labels, "
+            "more than the 10 outputs of model 'synth-cnn'\n"
+        )
+        assert not run_dirs(tmp_path)
+
+    def test_as_many_labels_as_model_outputs_runs(self, tmp_path):
+        args = [a if a != "12" else "10" for a in self.MORE_LABELS]
+        assert main(["run", *args, "--out", str(tmp_path)]) == 0
+        assert len(run_dirs(tmp_path)) == 1
+
+    def test_cifar100_on_a_ten_output_model_exit_code(self, tmp_path, capsys):
+        base = tmp_path / "data" / "cifar100"
+        base.mkdir(parents=True)
+        records = np.zeros((4, 2 + 3072), dtype=np.uint8)
+        records[:, 1] = [0, 1, 2, 99]  # fine labels
+        for name in ("train.bin", "test.bin"):
+            (base / name).write_bytes(records.tobytes())
+        code = main(["run", "--dataset", "cifar100", "--data-root", str(tmp_path / "data"),
+                     "--quiet", "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: keys 'dataset'/'model': dataset 'cifar100' has 100 labels, "
+            "more than the 10 outputs of model 'lenet5-cifar'\n"
+        )
+        assert not run_dirs(tmp_path / "runs")
 
     @pytest.mark.parametrize("flag, value", [("--eps-us", "nan"), ("--lr", "inf")])
     def test_non_finite_float_is_a_config_error(self, tmp_path, capsys, flag, value):

@@ -2,18 +2,19 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from subfed import experiment
 from subfed.config import ALGORITHM_CHOICES, parse_config
-from subfed.engine import evaluate_accuracy
+from subfed.data import partition_shards
 from subfed.experiment import (
     build_experiment, resolve_parallelism, run_experiment, write_round_artifacts,
 )
 from subfed.federation import sample_clients
 from subfed.pruning import apply_mask
 
-from helpers import workloads
+from helpers import block_score, workloads
 
 ARTIFACTS = (
     "summary.csv", "client_accuracy.csv", "plot_accuracy_vs_round.csv",
@@ -83,13 +84,41 @@ class TestFinalTable:
         assert [int(r["client_id"]) for r in rows] == sorted(clients)
         for row in rows:
             client = clients[int(row["client_id"])]
-            local = evaluate_accuracy(server.spec, client.params, client.x_eval, client.y_eval)
-            served = local if algorithm == "standalone" else evaluate_accuracy(
-                server.spec, apply_mask(server.params, client.mask),
-                client.x_eval, client.y_eval,
+            local = block_score(server.spec, client.params, client.eval_blocks)
+            served = local if algorithm == "standalone" else block_score(
+                server.spec, apply_mask(server.params, client.mask), client.eval_blocks
             )
             assert float(row["local_accuracy"]) == local, row
             assert float(row["served_accuracy"]) == served, row
+
+
+    def test_fedavg_serves_each_label_once(self, tmp_path, monkeypatch):
+        """Under fedavg every mask is dense: the table scores each label of the
+        clients that sat the final round out once on the final model, and each
+        block of a never-sampled client on its own params."""
+        built, scored = [], []
+        build = experiment.build_experiment
+        evaluate = experiment.evaluate_accuracy
+
+        def capture(cfg):
+            built.append(build(cfg))
+            return built[-1]
+
+        def counting(spec, params, x, y):
+            scored.append(int(y[0]))
+            return evaluate(spec, params, x, y)
+
+        monkeypatch.setattr(experiment, "build_experiment", capture)
+        monkeypatch.setattr(experiment, "evaluate_accuracy", counting)
+        run_dir = run(tmp_path, FEW_SAMPLED, algorithm="fedavg")
+        (server, clients), = built
+        rounds = sampled_per_round(run_dir)
+        never = set(clients) - set().union(*rounds)
+        stale = set(clients) - rounds[-1]
+        labels = set().union(*(clients[cid].eval_blocks for cid in stale))
+        local_blocks = sum(len(clients[cid].eval_blocks) for cid in never)
+        assert len(scored) == len(labels) + local_blocks
+        assert len(labels) < sum(len(clients[cid].eval_blocks) for cid in stale)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
@@ -153,6 +182,27 @@ def test_every_client_trains_on_what_its_validation_split_leaves(tmp_path):
     _, clients = experiment.build_experiment(cfg)
     for client in clients.values():
         assert (len(client.x_train), len(client.x_val)) == (1, 1)
+
+
+def test_clients_share_the_experiments_label_blocks(tmp_path):
+    """A label's test examples are held once, however many clients hold the
+    label: their blocks are the same arrays, the test set's examples of that
+    label in test order, and a client's labels are its partition's."""
+    cfg = parse_config(overrides=dict(SMALL, output_dir=str(tmp_path)))
+    _, clients = build_experiment(cfg)
+    train, test = experiment.load_datasets(cfg)
+    partition = partition_shards(
+        train, test, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
+    )
+    first = {}
+    for cid, client in clients.items():
+        assert sorted(client.eval_blocks) == list(partition.client_labels[cid])
+        for label, (x, y) in client.eval_blocks.items():
+            shared_x, shared_y = first.setdefault(label, (x, y))
+            assert x is shared_x and y is shared_y
+            assert np.array_equal(x, test.images[test.labels == label])
+            assert np.array_equal(y, test.labels[test.labels == label])
+    assert len(first) < sum(len(c.eval_blocks) for c in clients.values())  # labels are shared
 
 
 class TestResolveParallelism:

@@ -9,8 +9,9 @@ import pytest
 
 from subfed import engine as E
 from subfed import federation
-from subfed.data import partition_shards, split_per_class, synth_dataset
-from subfed.engine import ModelSpec, ParamSet, builtin_spec, evaluate_accuracy, init_params
+from subfed.config import ALGORITHM_CHOICES
+from subfed.data import label_blocks, partition_shards, split_per_class, synth_dataset
+from subfed.engine import ModelSpec, ParamSet, builtin_spec, init_params
 from subfed.federation import (
     ClientUpdateResult,
     ServerState,
@@ -36,6 +37,8 @@ from subfed.pruning import (
     fc_coverage,
     full_coverage,
 )
+
+from helpers import block_score
 
 
 def result_from(client_id, values, keep):
@@ -275,7 +278,7 @@ def synthetic_client(cid=0, seed=0, spec_name="synth-cnn", hybrid=False, **sched
         cid, spec, theta0,
         train.images[idx[:80]], train.labels[idx[:80]],
         train.images[idx[80:]], train.labels[idx[80:]],
-        test.images, test.labels,
+        label_blocks(test),
         schedule, learning_rate=0.05, momentum=0.5, hybrid=hybrid,
     )
 
@@ -463,6 +466,7 @@ def build_population(n=4, algorithm="sub-fedavg-un", seed=0, **sched_kw):
     full = synth_dataset(4, 60 * n // 2, 1.2, seed=seed, image_shape=spec.input_shape)
     train, test = split_per_class(full, 20)
     part = partition_shards(train, test, n, 2, 25, seed)
+    blocks = label_blocks(test)
     theta0 = init_params(spec, seed)
     defaults = dict(target_unstructured=0.0, target_structured=0.0)
     defaults.update(sched_kw)
@@ -473,7 +477,7 @@ def build_population(n=4, algorithm="sub-fedavg-un", seed=0, **sched_kw):
             cid, spec, theta0,
             train.images[idx[:40]], train.labels[idx[:40]],
             train.images[idx[40:]], train.labels[idx[40:]],
-            test.images[part.eval_assignment[cid]], test.labels[part.eval_assignment[cid]],
+            {c: blocks[c] for c in part.client_labels[cid]},
             schedule, 0.05, 0.5, hybrid=(algorithm == "sub-fedavg-hy"),
         )
     server = ServerState(
@@ -518,9 +522,8 @@ class TestRunRound:
             mask = clients[cid].mask
             assert c["sparsity_channel"] == mask.channel_sparsity() > 0.0
             assert c["conv_flops"] == conv_flops(server.spec, mask.channel_keep).current_total
-            assert c["served_accuracy"] == evaluate_accuracy(
-                server.spec, apply_mask(server.params, mask),
-                clients[cid].x_eval, clients[cid].y_eval,
+            assert c["served_accuracy"] == block_score(
+                server.spec, apply_mask(server.params, mask), clients[cid].eval_blocks
             )
         for key in ("local_accuracy", "served_accuracy", "sparsity_unstructured",
                     "sparsity_channel"):
@@ -591,6 +594,78 @@ class TestRunRound:
         server, clients = build_population()
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_round(server, clients, "fedprox", epochs=2, batch_size=10)
+
+
+def open_gates(algorithm: str) -> dict:
+    """A schedule under which the sub-fedavg algorithms prune in their first
+    round; the others never prune, as `experiment.make_schedule` has it."""
+    if not algorithm.startswith("sub-fedavg"):
+        return {}
+    return dict(
+        rate_unstructured=20.0, rate_structured=20.0, target_unstructured=40.0,
+        target_structured=40.0, acc_threshold=0.0, eps_unstructured=0.0, eps_structured=0.0,
+    )
+
+
+class TestLabelBlockScoring:
+    """A client's accuracy is `100 * sum(correct) / sum(n)` over its label
+    blocks; in the served phase, clients with bit-equal masks share a served
+    model and each (mask, label) pair is scored once."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_accuracies_are_per_block_sums(self, algorithm, workers):
+        server, clients = build_population(algorithm=algorithm, seed=3, **open_gates(algorithm))
+        record = run_round(server, clients, algorithm, epochs=2, batch_size=10,
+                           parallelism=workers).to_json_dict()
+        for c in record["clients"]:
+            client = clients[c["id"]]
+            local = block_score(server.spec, client.params, client.eval_blocks)
+            served = local if algorithm == "standalone" else block_score(
+                server.spec, apply_mask(server.params, client.mask), client.eval_blocks
+            )
+            assert c["local_accuracy"] == local
+            assert c["served_accuracy"] == served
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "sub-fedavg-un"])
+    def test_served_phase_scores_each_mask_label_pair_once(self, monkeypatch, algorithm):
+        server, clients = build_population(n=6, algorithm=algorithm, seed=4,
+                                          **open_gates(algorithm))
+        served_calls = []
+        aggregated = []
+        evaluate = federation.evaluate_accuracy
+
+        def counting(spec, params, x, y):
+            if aggregated:
+                served_calls.append(int(y[0]))
+            return evaluate(spec, params, x, y)
+
+        def flagging(aggregate):
+            def wrapped(*args, **kwargs):
+                aggregated.append(True)
+                return aggregate(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(federation, "evaluate_accuracy", counting)
+        for name in ("aggregate_fedavg", "aggregate_sub_fedavg"):
+            monkeypatch.setattr(federation, name, flagging(getattr(federation, name)))
+        record = run_round(server, clients, algorithm, epochs=2, batch_size=10).to_json_dict()
+
+        pairs = {(clients[cid].mask.flat.tobytes(), label)
+                 for cid in record["selected"] for label in clients[cid].eval_blocks}
+        assert len(served_calls) == len(pairs)
+        labels = set().union(*(clients[cid].eval_blocks for cid in record["selected"]))
+        held = sum(len(clients[cid].eval_blocks) for cid in record["selected"])
+        if algorithm == "fedavg":  # one served model
+            assert sorted(served_calls) == sorted(labels)
+            assert len(labels) < held
+        else:  # the first round's prunes leave every client its own mask
+            assert len(pairs) == held
+        for c in record["clients"]:
+            client = clients[c["id"]]
+            assert c["served_accuracy"] == block_score(
+                server.spec, apply_mask(server.params, client.mask), client.eval_blocks
+            )
 
 
 class TestMapClients:
