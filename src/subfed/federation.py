@@ -141,8 +141,9 @@ def make_client(
 
 def _correct(evaluate, spec: ModelSpec, params: ParamSet, block) -> int:
     """Examples of one label block that `params` classifies right. `evaluate`
-    is an `evaluate_accuracy` binding; its `100 * correct / len(x)` gives the
-    count back exactly."""
+    is the caller's module's `evaluate_accuracy` binding, which perfbench's
+    traced runs wrap by name; its `100 * correct / len(x)` gives the count
+    back exactly."""
     x, y = block
     return round(evaluate(spec, params, x, y) * len(x) / 100)
 
