@@ -122,13 +122,18 @@ def report(metrics: list[dict], pairs: list[tuple[int, dict, dict]]) -> None:
               f"spread {v['parent']['q3'] - v['parent']['q1']:.6g}: {v['verdict']}")
 
 
-def main() -> int:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="root of the parent checkout")
     ap.add_argument("change", type=Path, help="root of the change checkout")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    args = ap.parse_args()
+    ap.add_argument("--seeds", type=int, nargs="+", action="extend", required=True,
+                    help="repeatable")
+    return ap
+
+
+def main() -> int:
+    args = build_parser().parse_args()
     declared = json.loads((args.parent / "BENCHMARK.json").read_text())
     pairs, missing = [], 0
     for i, seed in enumerate(args.seeds):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sha256 of every byte-identical artifact of the benchmark workloads.
 
-    python3 scripts/artifact_digests.py [--workload NAME ...] [--seed N ...]
+    python3 scripts/artifact_digests.py [--workload NAME ...] [--seed N [N ...] ...]
                                         [--parallelism P] [--set KEY=VALUE ...]
 
 Runs each perfbench workload config (perfbench/workloads.py) for each seed
@@ -55,22 +55,32 @@ def config_setting(text: str) -> tuple[str, object]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def main() -> int:
+DEFAULT_SEEDS = (1, 2, 3)
+
+
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
                     help="repeatable; default: every workload")
-    ap.add_argument("--seed", type=int, nargs="+", default=[1, 2, 3])
+    # "extend" would add to a list default, so the default applies in main
+    ap.add_argument("--seed", type=int, nargs="+", action="extend",
+                    help=f"repeatable; default: {' '.join(map(str, DEFAULT_SEEDS))}")
     ap.add_argument("--parallelism", type=int,
                     help="override the workload's parallelism (0 = every usable CPU)")
     ap.add_argument("--set", dest="settings", action="append", type=config_setting,
                     default=[], metavar="KEY=VALUE",
                     help="repeatable; override one config key of every workload")
+    return ap
+
+
+def main() -> int:
+    ap = build_parser()
     args = ap.parse_args()
     echo = "".join(f" {key}={value}" for key, value in args.settings)
 
     with tempfile.TemporaryDirectory() as tmp:
         for name in args.workload or sorted(workloads.WORKLOADS):
-            for seed in args.seed:
+            for seed in args.seed or DEFAULT_SEEDS:
                 overrides = workloads.overrides(name, seed, tmp)
                 if args.parallelism is not None:
                     overrides["parallelism"] = args.parallelism

@@ -72,9 +72,14 @@ def cmd_partition_dump(args) -> int:
     cfg = _config_from_args(args)
     train, test = load_datasets(cfg)
     partition = partition_shards(
-        train, test, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
+        train, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
     )
     payload = partition.to_json_dict()
+    # a client's eval set: every test example of its labels
+    payload["eval_assignment"] = {
+        str(c): np.nonzero(np.isin(test.labels, labels))[0].tolist()
+        for c, labels in partition.client_labels.items()
+    }
     payload["dataset"] = cfg.dataset
     payload["seed"] = cfg.seed
     text = json.dumps(payload, sort_keys=True)

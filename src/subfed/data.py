@@ -199,8 +199,7 @@ def normalize(dataset: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
 class Partition:
     shard_size: int
     shards_per_client: int
-    assignment: dict[int, np.ndarray]       # client -> train indices
-    eval_assignment: dict[int, np.ndarray]  # client -> test indices
+    assignment: dict[int, np.ndarray]  # client -> train indices
     client_labels: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -208,24 +207,19 @@ class Partition:
             "shard_size": self.shard_size,
             "shards_per_client": self.shards_per_client,
             "assignment": {str(c): v.tolist() for c, v in self.assignment.items()},
-            "eval_assignment": {str(c): v.tolist() for c, v in self.eval_assignment.items()},
             "client_labels": {str(c): list(v) for c, v in self.client_labels.items()},
         }
 
 
 def partition_shards(
     train: Dataset,
-    test: Dataset,
     client_count: int,
     shards_per_client: int = 2,
     shard_size: int = 250,
     seed: int = 0,
 ) -> Partition:
-    """Label-sorted contiguous shards, shuffled and dealt shards_per_client each.
-
-    Each client's eval set is every test example whose label occurs in its
-    training shards.
-    """
+    """Label-sorted contiguous shards, shuffled and dealt shards_per_client
+    each; a client's labels are the labels of its shards."""
     order = np.argsort(train.labels, kind="stable")
     available = len(order) // shard_size
     needed = client_count * shards_per_client
@@ -234,14 +228,12 @@ def partition_shards(
             f"need {needed} shards of {shard_size}, dataset provides {available}"
         )
     perm = np.random.default_rng(seed).permutation(available)
-    assignment, eval_assignment, client_labels = {}, {}, {}
+    assignment, client_labels = {}, {}
     for cid in range(client_count):
         picks = perm[cid * shards_per_client:(cid + 1) * shards_per_client]
         idx = np.concatenate(
             [order[s * shard_size:(s + 1) * shard_size] for s in sorted(picks)]
         )
         assignment[cid] = idx
-        labels = tuple(sorted(set(int(v) for v in train.labels[idx])))
-        client_labels[cid] = labels
-        eval_assignment[cid] = np.nonzero(np.isin(test.labels, labels))[0]
-    return Partition(shard_size, shards_per_client, assignment, eval_assignment, client_labels)
+        client_labels[cid] = tuple(sorted(set(int(v) for v in train.labels[idx])))
+    return Partition(shard_size, shards_per_client, assignment, client_labels)

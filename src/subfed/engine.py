@@ -348,16 +348,16 @@ def _im2col_offsets(c: int, h: int, w: int, k: int) -> np.ndarray:
     return offsets
 
 
-def _conv_forward(x, w, b, ws=_FRESH, out="y"):
-    """Valid convolution as one matmul over C-order im2col columns.
+def _conv_gemm(x, w, ws=_FRESH):
+    """Valid convolution without its bias, as one matmul over C-order im2col
+    columns; returns the GEMM output in (n, oh, ow, o) layout and the columns.
 
     The columns are gathered per sample through cached offsets, one pass
     instead of a strided copy in runs of k elements. They keep the C order,
     since BLAS's small-matrix kernels round a transposed operand differently.
     Every offset lies in [0, c*h*w), so the gather's "wrap" mode never wraps;
     it only skips the per-index bounds check of the default mode. The
-    columns, the GEMM output and `y` (from its buffer named `out`) come from
-    `ws`.
+    columns and the GEMM output come from `ws`.
     """
     n, c, h, width = x.shape
     o, _, k, _ = w.shape
@@ -368,10 +368,61 @@ def _conv_forward(x, w, b, ws=_FRESH, out="y"):
     cols = cols.reshape(n * oh * ow, c * k * k)
     dtype = np.result_type(x.dtype, w.dtype)
     gemm = np.matmul(cols, w.reshape(o, -1).T, out=ws.array("gemm", (n * oh * ow, o), dtype))
-    y = ws.array(out, (n, o, oh, ow), dtype)
-    np.copyto(y, gemm.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
-    y += b[:, None, None]
+    return gemm.reshape(n, oh, ow, o), cols
+
+
+def _conv_forward(x, w, b, ws=_FRESH, out="y"):
+    """Valid convolution: `_conv_gemm`, then the bias added in the one copy
+    that transposes the GEMM output to NCHW `y` (from `ws`'s buffer named
+    `out`)."""
+    gemm, cols = _conv_gemm(x, w, ws)
+    n, oh, ow, o = gemm.shape
+    y = ws.array(out, (n, o, oh, ow), gemm.dtype)
+    np.add(gemm.transpose(0, 3, 1, 2), b[:, None, None], out=y)
     return y, cols
+
+
+def _pools_first(params, name, desc, dtype) -> bool:
+    """Whether max pooling may run before this eval conv layer's bias add and
+    batch norm. Each of those steps is a correctly rounded map of one value,
+    non-decreasing, sending ±inf to ±inf and no number to NaN, when the bias,
+    shift and running mean are finite and the scale and `inv` are finite and
+    positive. Then the window max of the mapped values is the mapped window
+    max as a real number, NaN in the same places."""
+    finite = [params[(name, ROLE_BIAS)]]
+    if desc.batch_norm:
+        positive = [params[(name, ROLE_BN_SCALE)], _bn_inv(params, name, dtype)]
+        if not all((v > 0).all() for v in positive):
+            return False
+        finite += [params[(name, ROLE_BN_SHIFT)], params[(name, ROLE_BN_MEAN)], *positive]
+    return all(np.isfinite(v).all() for v in finite)
+
+
+def _conv_pool_eval(x, params, name, desc, window, ws=_FRESH, out="y"):
+    """An eval conv layer and the max pooling after it, for a layer
+    `_pools_first` admits: the conv GEMM, max pooling of its output in the
+    (n, oh, ow, o) layout, the bias added in the one copy that transposes
+    the pooled quarter to NCHW `y` (from `ws`'s buffer named `out`), and
+    eval batch norm in place on `y`. The pool rows come from `ws`.
+    """
+    gemm, _ = _conv_gemm(x, params[(name, ROLE_WEIGHT)], ws)
+    n, oh, ow, o = gemm.shape
+    ph, pw = oh // window, ow // window
+    taps = gemm.reshape(n, ph, window, ow * o)
+    rows = np.maximum(taps[:, :, 0], taps[:, :, window - 1],
+                      out=ws.array("rows", (n, ph, ow * o), gemm.dtype))
+    for a in range(1, window - 1):
+        np.maximum(rows, taps[:, :, a], out=rows)
+    rows = rows.reshape(n, ph, pw, window, o)
+    pooled = rows[:, :, :, 0]  # the maxima gather in each window's first column
+    np.maximum(pooled, rows[:, :, :, window - 1], out=pooled)
+    for b in range(1, window - 1):
+        np.maximum(pooled, rows[:, :, :, b], out=pooled)
+    y = ws.array(out, (n, o, ph, pw), gemm.dtype)
+    np.add(pooled.transpose(0, 3, 1, 2), params[(name, ROLE_BIAS)][:, None, None], out=y)
+    if desc.batch_norm:
+        y, _ = _bn_forward(y, params, name, "eval")
+    return y
 
 
 def _conv_backward(dy, cols, w, x_shape, input_grad=True):
@@ -433,6 +484,11 @@ def _col2im_positions(dcols, x_shape):
     return np.ascontiguousarray(rows.reshape(n, h, width, c).transpose(0, 3, 1, 2))
 
 
+def _bn_inv(params, name, dtype):
+    """Eval batch norm's 1 / sqrt(running var + eps), eps in `dtype`."""
+    return 1.0 / np.sqrt(params[(name, ROLE_BN_VAR)] + dtype.type(BN_EPS))
+
+
 def _bn_forward(x, params, name, mode):
     """Batch norm of a conv output; returns (y, cache), the cache None in eval.
 
@@ -442,7 +498,7 @@ def _bn_forward(x, params, name, mode):
     scale = params[(name, ROLE_BN_SCALE)]
     shift = params[(name, ROLE_BN_SHIFT)]
     if mode == "eval":
-        inv = 1.0 / np.sqrt(params[(name, ROLE_BN_VAR)] + x.dtype.type(BN_EPS))
+        inv = _bn_inv(params, name, x.dtype)
         x -= params[(name, ROLE_BN_MEAN)][None, :, None, None]
         x *= inv[None, :, None, None]
         x *= scale[None, :, None, None]
@@ -566,6 +622,12 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     pass then comes from it, the layer outputs from two buffers in turn, so
     an output never overwrites its input. Logits that no dense layer makes
     are the workspace's too, valid until its next use.
+
+    In eval mode a conv layer followed directly by max pooling runs as one
+    block (`_conv_pool_eval`) where `_pools_first` admits its params: it
+    pools the raw conv output, then adds the bias and batch-normalises only
+    the pooled values. The logits are the same real numbers as the
+    layer-by-layer walk's, NaN in the same places.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -583,9 +645,18 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     owned = False  # whether x is an array this call allocated
     records = []
     keep = records.append if train else (lambda record: None)
-    for name, desc, in_shape, _ in layers:
+    pooled = -1  # the index of a pool layer already run by the conv block before it
+    for i, (name, desc, in_shape, _) in enumerate(layers):
+        if i == pooled:
+            continue
         if isinstance(desc, Conv):
             w = params[(name, ROLE_WEIGHT)]
+            pool = layers[i + 1][1] if i + 1 < len(layers) else None
+            if (not train and isinstance(pool, MaxPool)
+                    and _pools_first(params, name, desc, np.result_type(x.dtype, w.dtype))):
+                x = _conv_pool_eval(x, params, name, desc, pool.window, ws, f"out{slot}")
+                owned, slot, pooled = True, 1 - slot, i + 1
+                continue
             y, cols = _conv_forward(x, w, params[(name, ROLE_BIAS)], ws, f"out{slot}")
             bn_cache = None
             if desc.batch_norm:

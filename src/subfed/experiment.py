@@ -33,13 +33,12 @@ from .engine import builtin_spec, class_count, evaluate_accuracy, init_params
 from .federation import (
     ClientState,
     ServerState,
-    block_accuracy,
     client_mean,
     make_client,
-    map_clients,
     run_round,
     sample_size,
     served_accuracies,
+    shared_accuracies,
 )
 from .metrics import BITS_PER_MASK_POSITION, BITS_PER_SCALAR, conv_flops
 from .pruning import PruneSchedule, apply_mask
@@ -148,7 +147,7 @@ def build_experiment(cfg: ExperimentConfig):
         )
     blocks = label_blocks(test)
     partition = partition_shards(
-        train, test, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
+        train, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
     )
     theta0 = init_params(spec, cfg.seed)
     schedule = make_schedule(cfg)
@@ -288,15 +287,17 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     with open(tmp / "rounds.ndjson", "w") as stream:
         stream.write(json.dumps({"config": provenance_dict(cfg)}, sort_keys=True) + "\n")
         for _ in range(cfg.rounds):
-            # only the plain record outlives the round: the report holds the
-            # clients' params and masks
-            record = run_round(
+            # only the plain record and the served counts outlive the round:
+            # the report holds the clients' params and masks
+            report = run_round(
                 server, clients, cfg.algorithm,
                 epochs=cfg.local_epochs,
                 batch_size=cfg.batch_size,
                 parallelism=parallelism,
                 aggregation_mode=cfg.aggregation,
-            ).to_json_dict()
+            )
+            record, served_counts = report.to_json_dict(), report.served_counts
+            del report
             records.append(record)
             stream.write(json.dumps(record, sort_keys=True) + "\n")
             if progress is not None:
@@ -304,17 +305,19 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
 
     # final per-client table covers every client, not only the last-round
     # sample. A client's params change only in client_update, which scores
-    # them on its eval set, so its latest record holds its local accuracy.
-    # Its served accuracy holds only if it was in the final round: every
-    # aggregation since an earlier one has changed the global params.
+    # them on its eval set, so its latest record holds its local accuracy;
+    # clients never sampled all still hold copies of the initial params, so
+    # clients with bit-equal params share their scores. A served accuracy
+    # holds only if the client was in the final round: every aggregation
+    # since an earlier one has changed the global params. The final round's
+    # (mask, label) counts were taken under the global params as they are
+    # now, so the clients that missed it reuse them.
     latest = {c["id"]: c for record in records for c in record["clients"]}
     local = {cid: c["local_accuracy"] for cid, c in latest.items()}
     unsampled = [cid for cid in sorted(clients) if cid not in latest]
-    local.update(zip(unsampled, map_clients(
-        lambda cid: block_accuracy(
-            evaluate_accuracy, server.spec, clients[cid].params, clients[cid].eval_blocks
-        ),
-        unsampled, parallelism,
+    local.update(zip(unsampled, shared_accuracies(
+        evaluate_accuracy, server.spec, [clients[cid] for cid in unsampled],
+        lambda client: client.params.flat.tobytes(), lambda client: client.params, parallelism,
     )))
     if cfg.algorithm == "standalone":
         served = local
@@ -323,7 +326,7 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
         stale = [cid for cid in sorted(clients) if cid not in served]
         served.update(zip(stale, served_accuracies(
             evaluate_accuracy, apply_mask, server.spec, server.params,
-            [clients[cid] for cid in stale], parallelism,
+            [clients[cid] for cid in stale], parallelism, served_counts,
         )))
     client_rows = [
         (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -159,31 +159,42 @@ def block_accuracy(evaluate, spec: ModelSpec, params: ParamSet, blocks: dict) ->
     return _percent(sum(_correct(evaluate, spec, params, b) for b in blocks.values()), blocks)
 
 
-def served_accuracies(evaluate, mask_op, spec: ModelSpec, params: ParamSet,
-                      clients: list[ClientState], parallelism: int = 1) -> list[float]:
-    """Each client's `block_accuracy` under `params` through its own mask.
-    Clients whose masks are equal bit for bit share one served model
-    (`mask_op(params, mask)`), and each distinct (served model, label) pair
-    is scored once through `evaluate`, the pairs run by `map_clients`."""
-    served: dict[bytes, ParamSet] = {}
-    keys = []
-    for client in clients:
-        key = client.mask.flat.tobytes()
-        if key not in served:
-            served[key] = mask_op(params, client.mask)
-        keys.append(key)
-    pairs = {
-        (key, label): block
-        for key, client in zip(keys, clients) for label, block in client.eval_blocks.items()
-    }
-    counts = map_clients(
-        lambda pair: _correct(evaluate, spec, served[pair[0]], pairs[pair]), pairs, parallelism
-    )
-    correct = dict(zip(pairs, counts))
+def shared_accuracies(evaluate, spec: ModelSpec, clients: list[ClientState], key_of,
+                      model_of, parallelism: int = 1, counts: dict | None = None) -> list[float]:
+    """Each client's `block_accuracy` under the model `model_of(client)`.
+    Clients with equal `key_of(client)` share one model, made once, and each
+    distinct (key, label) pair is scored once through `evaluate`, the pairs
+    run by `map_clients`. Pairs already in `counts` (pair -> correct count
+    under the same models) are not scored again; the new ones are added."""
+    counts = {} if counts is None else counts
+    keys = [key_of(client) for client in clients]
+    models: dict[bytes, ParamSet] = {}
+    todo = {}
+    for key, client in zip(keys, clients):
+        for label, block in client.eval_blocks.items():
+            if (key, label) not in counts:
+                if key not in models:
+                    models[key] = model_of(client)
+                todo[key, label] = block
+    counts.update(zip(todo, map_clients(
+        lambda pair: _correct(evaluate, spec, models[pair[0]], todo[pair]), todo, parallelism
+    )))
     return [
-        _percent(sum(correct[key, label] for label in client.eval_blocks), client.eval_blocks)
+        _percent(sum(counts[key, label] for label in client.eval_blocks), client.eval_blocks)
         for key, client in zip(keys, clients)
     ]
+
+
+def served_accuracies(evaluate, mask_op, spec: ModelSpec, params: ParamSet,
+                      clients: list[ClientState], parallelism: int = 1,
+                      counts: dict | None = None) -> list[float]:
+    """Each client's `block_accuracy` under `params` through its own mask:
+    `shared_accuracies` keyed by the mask's bits, so clients whose masks are
+    equal bit for bit share one served model, `mask_op(params, mask)`."""
+    return shared_accuracies(
+        evaluate, spec, clients, lambda client: client.mask.flat.tobytes(),
+        lambda client: mask_op(params, client.mask), parallelism, counts,
+    )
 
 
 def retained_scalar_count(params: ParamSet, mask: SparsityMask) -> int:
@@ -385,10 +396,15 @@ def client_mean(clients: list[dict], key: str) -> float:
 
 @dataclass
 class RoundReport:
+    """A round's client results. `served_counts` holds the served phase's
+    correct count per (mask bits, label) pair under the aggregated params;
+    no artifact records it."""
+
     round_index: int
     algorithm: str
     selected: list[int]
     clients: list[ClientUpdateResult]
+    served_counts: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         """The round record (one line of rounds.ndjson): the client entries,
@@ -449,13 +465,14 @@ def run_round(
             server.params = aggregate_sub_fedavg(results, server.params, mode=aggregation_mode)
     server.round_index = round_index + 1
 
+    counts: dict = {}
     if exchange:
         served = served_accuracies(
             evaluate_accuracy, apply_mask, server.spec, server.params,
-            [clients[cid] for cid in selected], parallelism,
+            [clients[cid] for cid in selected], parallelism, counts,
         )
     else:
         served = [r.local_accuracy for r in results]
     for r, acc in zip(results, served):
         r.served_accuracy = acc
-    return RoundReport(round_index, algorithm, selected, results)
+    return RoundReport(round_index, algorithm, selected, results, counts)

@@ -253,6 +253,16 @@ def reference_eval_forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray)
     return x
 
 
+def reference_conv_pool_eval(x, params: ParamSet, name: str, desc, window: int,
+                             ws=None, out=None) -> np.ndarray:
+    """The eval conv block as the layer walk composes it: the reference conv
+    with its bias, batch norm on its whole output, then max pooling."""
+    y, _ = reference_conv_forward(x, params[(name, E.ROLE_WEIGHT)], params[(name, E.ROLE_BIAS)])
+    if desc.batch_norm:
+        y, _ = reference_bn_forward(y, params, name, "eval")
+    return reference_pool_forward(y, window)[0]
+
+
 def use_reference_kernels(monkeypatch) -> None:
     """Swap the reference kernels into the engine for the rest of a test.
 
@@ -269,6 +279,7 @@ def use_reference_kernels(monkeypatch) -> None:
     monkeypatch.setattr(E, "_pool_forward", reference_pool_forward)
     monkeypatch.setattr(E, "_pool_max",
                         lambda x, window, ws=None, out=None: reference_pool_forward(x, window)[0])
+    monkeypatch.setattr(E, "_conv_pool_eval", reference_conv_pool_eval)
     monkeypatch.setattr(E, "_pool_backward", reference_pool_backward)
     monkeypatch.setattr(E, "_bn_forward", reference_bn_forward)
     monkeypatch.setattr(E, "_bn_backward", reference_bn_backward)

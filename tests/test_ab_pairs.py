@@ -203,3 +203,9 @@ def test_runs_alternate_which_side_goes_first(tmp_path):
         "p 5 35 0", "c 5 35 0", "c 6 35 0", "p 6 35 0", "p 7 35 0", "c 7 35 0"]
     assert "workload w: 3 pairs, seeds [5, 6, 7]" in proc.stdout
     assert "change wins 3 of 3 pairs (0 lost)" in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [["--seeds", "1", "2"], ["--seeds", "1", "--seeds", "2"]])
+def test_repeated_seed_flags_add_up(flags):
+    args = ab_pairs.build_parser().parse_args(["parent", "change", "--workload", "w", *flags])
+    assert args.seeds == [1, 2]

@@ -241,7 +241,7 @@ class TestC06NonIidSeverity:
     def test_hundred_clients_label_skew(self):
         train, test, source = mnist_like_datasets()
         assert len(train) == 60000
-        partition = partition_shards(train, test, 100, 2, 250, seed=0)
+        partition = partition_shards(train, 100, 2, 250, seed=0)
         sizes = [len(v) for v in partition.assignment.values()]
         assert sizes == [500] * 100
         label_counts = sorted(len(v) for v in partition.client_labels.values())

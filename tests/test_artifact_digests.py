@@ -32,3 +32,13 @@ def test_setting_read_as_the_field_type():
 def test_bad_setting_named(text, message):
     with pytest.raises(argparse.ArgumentTypeError, match=message):
         artifact_digests.config_setting(text)
+
+
+@pytest.mark.parametrize("argv", [["--seed", "1", "2"], ["--seed", "1", "--seed", "2"]])
+def test_repeated_seed_flags_add_up(argv):
+    assert artifact_digests.build_parser().parse_args(argv).seed == [1, 2]
+
+
+def test_no_seed_flag_leaves_the_default_to_main():
+    assert artifact_digests.build_parser().parse_args([]).seed is None
+    assert artifact_digests.DEFAULT_SEEDS == (1, 2, 3)

@@ -9,7 +9,7 @@ import pytest
 from subfed.cli import _add_run_flags, _config_from_args, build_parser, main
 from subfed.config import DATA_ROOT_ENV, ExperimentConfig, parse_config
 from subfed.engine import builtin_spec
-from subfed.experiment import compare_runs, run_experiment
+from subfed.experiment import compare_runs, load_datasets, run_experiment
 from subfed.metrics import conv_flops
 
 TINY = [
@@ -269,6 +269,15 @@ class TestSmallVerbs:
         assert payload["shard_size"] == 25
         assert len(payload["assignment"]) == 4
         assert all(len(v) == 50 for v in payload["assignment"].values())
+
+    def test_partition_dump_eval_is_all_test_examples_of_held_labels(self, tmp_path, capsys):
+        assert main(["partition-dump", *TINY, "--out", str(tmp_path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        args = build_parser().parse_args(["partition-dump", *TINY, "--out", str(tmp_path)])
+        _, test = load_datasets(_config_from_args(args))
+        for cid, labels in payload["client_labels"].items():
+            expected = np.nonzero(np.isin(test.labels, labels))[0]
+            assert payload["eval_assignment"][cid] == expected.tolist()
 
 
 class TestReductionEquivalence:

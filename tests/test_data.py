@@ -168,30 +168,24 @@ class TestTransforms:
 class TestPartition:
     def make(self, classes=10, per_class=100, clients=10, shard=50, seed=0):
         full = synth_dataset(classes, per_class + 20, 1.0, seed=1, image_shape=(1, 2, 2))
-        train, test = split_per_class(full, 20)
-        return train, test, partition_shards(train, test, clients, 2, shard, seed)
+        train, _ = split_per_class(full, 20)
+        return train, partition_shards(train, clients, 2, shard, seed)
 
     def test_shards_disjoint_and_sized(self):
-        train, _, part = self.make()
+        train, part = self.make()
         seen = np.concatenate(list(part.assignment.values()))
         assert len(seen) == len(set(seen.tolist())) == 10 * 2 * 50
         assert all(len(v) == 100 for v in part.assignment.values())
 
-    def test_eval_is_all_test_examples_of_held_labels(self):
-        _, test, part = self.make()
-        for cid, labels in part.client_labels.items():
-            expected = np.nonzero(np.isin(test.labels, labels))[0]
-            assert np.array_equal(np.sort(part.eval_assignment[cid]), np.sort(expected))
-
     def test_label_skew_is_severe(self):
-        _, _, part = self.make()
+        _, part = self.make()
         counts = sorted(len(v) for v in part.client_labels.values())
         assert counts[len(counts) // 2] <= 4
 
     def test_deterministic_and_seed_sensitive(self):
-        _, _, a = self.make(seed=3)
-        _, _, b = self.make(seed=3)
-        _, _, c = self.make(seed=4)
+        _, a = self.make(seed=3)
+        _, b = self.make(seed=3)
+        _, c = self.make(seed=4)
         assert all(np.array_equal(a.assignment[k], b.assignment[k]) for k in a.assignment)
         assert any(
             not np.array_equal(a.assignment[k], c.assignment[k]) for k in a.assignment
@@ -201,11 +195,11 @@ class TestPartition:
         full = synth_dataset(2, 60, 1.0, seed=1, image_shape=(1, 2, 2))
         train, test = split_per_class(full, 10)
         with pytest.raises(InsufficientDataError, match="need 40 shards of 50"):
-            partition_shards(train, test, 20, 2, 50, 0)
+            partition_shards(train, 20, 2, 50, 0)
 
     def test_different_seeds_vary_statistically(self):
         assignments = []
         for seed in range(20):
-            _, _, part = self.make(seed=seed)
+            _, part = self.make(seed=seed)
             assignments.append(tuple(int(v[0]) for v in part.assignment.values()))
         assert len(set(assignments)) >= 19

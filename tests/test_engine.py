@@ -17,7 +17,8 @@ from subfed.pruning import dense_mask, full_coverage
 
 from helpers import (
     random_small_spec, reference_bn_backward, reference_bn_forward, reference_col2im,
-    reference_conv_backward, reference_conv_forward, reference_eval_forward,
+    reference_conv_backward, reference_conv_forward, reference_conv_pool_eval,
+    reference_eval_forward,
     reference_pool_backward, reference_pool_forward, same_bits, tiny_dense_spec,
     use_reference_kernels,
 )
@@ -607,6 +608,97 @@ class TestEvalForwardMatchesReference:
                 assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
         # the special values reach the logits, and plain samples stay finite
         assert nan.any() and np.isfinite(ref).all(axis=1).any()
+
+
+def _block_params(spec, dtype, rng):
+    """`_eval_params` with every BN scale positive, so the eval conv block
+    runs wherever a conv feeds a pool."""
+    params = _eval_params(spec, dtype, rng)
+    for (_name, role), arr in params.items():
+        if role == E.ROLE_BN_SCALE:
+            arr[...] = rng.uniform(0.25, 2.0, arr.shape)
+    return params
+
+
+def _pooled_convs(spec):
+    """The conv layers followed directly by a pool."""
+    layers = walk_shapes(spec)
+    return [name for (name, desc, _, _), (_, nxt, _, _) in zip(layers, layers[1:])
+            if isinstance(desc, Conv) and isinstance(nxt, MaxPool)]
+
+
+def _spy_block(monkeypatch):
+    """The names of the conv layers the eval conv block runs, call by call."""
+    ran, block = [], E._conv_pool_eval
+
+    def spy(x, params, name, *args):
+        ran.append(name)
+        return block(x, params, name, *args)
+
+    monkeypatch.setattr(E, "_conv_pool_eval", spy)
+    return ran
+
+
+def _assert_same_reals(got, ref, what):
+    assert got.dtype == ref.dtype and got.shape == ref.shape, what
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan), what
+    assert np.array_equal(got[~nan], ref[~nan]), what
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEvalConvBlock:
+    """The eval conv block pools before the bias add and batch norm where the
+    params make those monotone maps, and gives the layer walk's logits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_logits_match_reference(self, name, dtype, monkeypatch):
+        spec = SPECS[name]
+        rng = np.random.default_rng(100 + list(SPECS).index(name))
+        params = _block_params(spec, dtype, rng)
+        ran = _spy_block(monkeypatch)
+        ws = E.Workspace()
+        sizes = (1, 3, 10, 100, 7)
+        for n in sizes:
+            x = _special_batch(spec, n, dtype, rng)
+            ref = reference_eval_forward(spec, params, x)
+            for got, _ in (forward(spec, params, x, "eval"), forward(spec, params, x, "eval", ws)):
+                _assert_same_reals(got, ref, (name, n))
+                assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
+        assert ran == _pooled_convs(spec) * 2 * len(sizes)
+
+    @pytest.mark.parametrize("model", BUILTIN_MODELS)
+    def test_runs_on_every_builtin_model(self, model, monkeypatch):
+        spec = builtin_spec(model)
+        ran = _spy_block(monkeypatch)
+        x = np.random.default_rng(1).normal(size=(5, *spec.input_shape)).astype(np.float32)
+        evaluate_accuracy(spec, init_params(spec, 0), x, np.zeros(5, np.int64))
+        assert ran == ["conv1", "conv2"]
+
+    @pytest.mark.parametrize("role, value", [
+        (E.ROLE_BN_SCALE, 0.0), (E.ROLE_BN_SCALE, -0.5), (E.ROLE_BN_SCALE, np.nan),
+        (E.ROLE_BN_SCALE, np.inf), (E.ROLE_BIAS, np.inf), (E.ROLE_BIAS, np.nan),
+        (E.ROLE_BN_SHIFT, -np.inf), (E.ROLE_BN_MEAN, np.nan), (E.ROLE_BN_VAR, np.inf),
+        (E.ROLE_BN_VAR, -1.0), (E.ROLE_BN_VAR, -E.BN_EPS),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_other_layers_take_the_walk(self, role, value, dtype, monkeypatch):
+        """One channel's value in conv1 keeps the block off that layer only;
+        conv2 still runs it, and the logits still match the reference."""
+        spec = builtin_spec("synth-cnn")
+        rng = np.random.default_rng(7)
+        params = _block_params(spec, dtype, rng)
+        params[("conv1", role)][3] = value
+        ran = _spy_block(monkeypatch)
+        x = _special_batch(spec, 40, dtype, rng)
+        got, _ = forward(spec, params, x, "eval", E.Workspace())
+        _assert_same_reals(got, reference_eval_forward(spec, params, x), (role, value))
+        assert ran == ["conv2"]
+
+    def test_reference_kernels_replace_the_block(self, monkeypatch):
+        use_reference_kernels(monkeypatch)
+        assert E._conv_pool_eval is reference_conv_pool_eval
 
 
 def _reference_accuracy(spec, params, x, y):

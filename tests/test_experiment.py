@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from subfed import experiment
+from subfed import engine, experiment
 from subfed.config import ALGORITHM_CHOICES, parse_config
 from subfed.data import partition_shards
 from subfed.experiment import (
@@ -93,9 +93,52 @@ class TestFinalTable:
 
 
     def test_fedavg_serves_each_label_once(self, tmp_path, monkeypatch):
-        """Under fedavg every mask is dense: the table scores each label of the
-        clients that sat the final round out once on the final model, and each
-        block of a never-sampled client on its own params."""
+        """Under fedavg every mask is dense: the table scores on the final
+        model only the labels of the clients that sat the final round out
+        that no client of that round holds, and the never-sampled clients,
+        all still on the initial params, once per label."""
+        scored, (server, clients), run_dir = self.scored_run(
+            tmp_path, monkeypatch, FEW_SAMPLED, "fedavg")
+        rounds = sampled_per_round(run_dir)
+        never = set(clients) - set().union(*rounds)
+        stale = set(clients) - rounds[-1]
+        labels = set().union(*(clients[cid].eval_blocks for cid in stale))
+        labels -= set().union(*(clients[cid].eval_blocks for cid in rounds[-1]))
+        local_labels = set().union(*(clients[cid].eval_blocks for cid in never))
+        assert len(scored) == len(labels) + len(local_labels)
+        assert len(local_labels) < sum(len(clients[cid].eval_blocks) for cid in never)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
+    @pytest.mark.parametrize("sampling", ["few", "half"])
+    def test_scores_each_model_label_pair_once(self, tmp_path, monkeypatch, algorithm,
+                                               sampling):
+        """The table scores each (params, label) pair of the never-sampled
+        clients once, and each (mask, label) pair of the clients that missed
+        the final round once, unless a client of that round held it."""
+        cfg = FEW_SAMPLED if sampling == "few" else HALF_SAMPLED
+        scored, (server, clients), run_dir = self.scored_run(
+            tmp_path, monkeypatch, cfg, algorithm)
+        rounds = sampled_per_round(run_dir)
+        never = set(clients) - set().union(*rounds)
+
+        def pairs(cids, key_of):
+            return {(key_of(clients[cid]), label)
+                    for cid in cids for label in clients[cid].eval_blocks}
+
+        local = pairs(never, lambda client: client.params.flat.tobytes())
+        served = set()
+        if algorithm != "standalone":
+            mask_bits = lambda client: client.mask.flat.tobytes()  # noqa: E731
+            served = (pairs(set(clients) - rounds[-1], mask_bits)
+                      - pairs(rounds[-1], mask_bits))
+        assert len(scored) == len(local) + len(served)
+        if never:
+            assert len(local) < sum(len(clients[cid].eval_blocks) for cid in never)
+
+    @staticmethod
+    def scored_run(tmp_path, monkeypatch, cfg, algorithm):
+        """The labels `experiment.evaluate_accuracy` scored, one per call, the
+        built (server, clients) and the run directory."""
         built, scored = [], []
         build = experiment.build_experiment
         evaluate = experiment.evaluate_accuracy
@@ -110,15 +153,8 @@ class TestFinalTable:
 
         monkeypatch.setattr(experiment, "build_experiment", capture)
         monkeypatch.setattr(experiment, "evaluate_accuracy", counting)
-        run_dir = run(tmp_path, FEW_SAMPLED, algorithm="fedavg")
-        (server, clients), = built
-        rounds = sampled_per_round(run_dir)
-        never = set(clients) - set().union(*rounds)
-        stale = set(clients) - rounds[-1]
-        labels = set().union(*(clients[cid].eval_blocks for cid in stale))
-        local_blocks = sum(len(clients[cid].eval_blocks) for cid in never)
-        assert len(scored) == len(labels) + local_blocks
-        assert len(labels) < sum(len(clients[cid].eval_blocks) for cid in stale)
+        run_dir = run(tmp_path, cfg, algorithm=algorithm)
+        return scored, built[0], run_dir
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
@@ -129,6 +165,26 @@ def test_artifacts_identical_across_parallelism(tmp_path, algorithm):
     ]
     for name in ARTIFACTS:
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_eval_conv_block_keeps_artifacts(tmp_path, monkeypatch, workload):
+    """Each benchmark workload, 2 rounds at parallelism 1, writes the same
+    bytes whether eval pools before the bias add and batch norm or not."""
+    block, ran = engine._conv_pool_eval, []
+
+    def spy(*args):
+        ran.append(args[2])
+        return block(*args)
+
+    cfg = dict(workloads.overrides(workload, 5, "unused", rounds=2), parallelism=1)
+    monkeypatch.setattr(engine, "_conv_pool_eval", spy)
+    on = run(tmp_path / "on", cfg)
+    assert ran  # the block ran
+    monkeypatch.setattr(engine, "_pools_first", lambda *args: False)
+    off = run(tmp_path / "off", cfg)
+    for name in ARTIFACTS:
+        assert (on / name).read_bytes() == (off / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("algorithm, sampling_rate", [
@@ -192,7 +248,7 @@ def test_clients_share_the_experiments_label_blocks(tmp_path):
     _, clients = build_experiment(cfg)
     train, test = experiment.load_datasets(cfg)
     partition = partition_shards(
-        train, test, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
+        train, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
     )
     first = {}
     for cid, client in clients.items():

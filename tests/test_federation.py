@@ -465,7 +465,7 @@ def build_population(n=4, algorithm="sub-fedavg-un", seed=0, **sched_kw):
     spec = builtin_spec("synth-cnn")
     full = synth_dataset(4, 60 * n // 2, 1.2, seed=seed, image_shape=spec.input_shape)
     train, test = split_per_class(full, 20)
-    part = partition_shards(train, test, n, 2, 25, seed)
+    part = partition_shards(train, n, 2, 25, seed)
     blocks = label_blocks(test)
     theta0 = init_params(spec, seed)
     defaults = dict(target_unstructured=0.0, target_structured=0.0)
