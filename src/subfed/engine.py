@@ -402,7 +402,7 @@ def _conv_pool_eval(x, params, name, desc, window, ws=_FRESH, out="y"):
     """An eval conv layer and the max pooling after it, for a layer
     `_pools_first` admits: the conv GEMM, max pooling of its output in the
     (n, oh, ow, o) layout, the bias added in the one copy that transposes
-    the pooled quarter to NCHW `y` (from `ws`'s buffer named `out`), and
+    the pooled values to NCHW `y` (from `ws`'s buffer named `out`), and
     eval batch norm in place on `y`. The pool rows come from `ws`.
     """
     gemm, _ = _conv_gemm(x, params[(name, ROLE_WEIGHT)], ws)

@@ -135,6 +135,31 @@ class TestFinalTable:
         if never:
             assert len(local) < sum(len(clients[cid].eval_blocks) for cid in never)
 
+    def test_clients_with_other_params_keep_their_own_scores(self, tmp_path, monkeypatch):
+        """Never-sampled clients share local scores only by equal params:
+        clients whose initial params favour different labels get their own
+        scores."""
+        build = experiment.build_experiment
+        built = []
+
+        def own_params(cfg):
+            server, clients = build(cfg)
+            for cid, client in clients.items():
+                client.params = client.params.copy()
+                client.params[("fc2", "bias")][cid % 4] = 100.0
+            built.append((server, clients))
+            return server, clients
+
+        monkeypatch.setattr(experiment, "build_experiment", own_params)
+        run_dir = run(tmp_path, FEW_SAMPLED, algorithm="standalone")
+        (server, clients), = built
+        never = set(clients) - set().union(*sampled_per_round(run_dir))
+        local = {int(r["client_id"]): float(r["local_accuracy"]) for r in read_table(run_dir)}
+        for cid in never:
+            assert local[cid] == block_score(server.spec, clients[cid].params,
+                                             clients[cid].eval_blocks)
+        assert len({local[cid] for cid in never}) > 1
+
     @staticmethod
     def scored_run(tmp_path, monkeypatch, cfg, algorithm):
         """The labels `experiment.evaluate_accuracy` scored, one per call, the
