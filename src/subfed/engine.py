@@ -371,12 +371,17 @@ def _conv_gemm(x, w, ws=_FRESH):
     return gemm.reshape(n, oh, ow, o), cols
 
 
-def _conv_forward(x, w, b, ws=_FRESH, out="y"):
+def _conv_forward(x, w, b, ws=_FRESH, out="y", pool=0):
     """Valid convolution: `_conv_gemm`, then the bias added in the one copy
     that transposes the GEMM output to NCHW `y` (from `ws`'s buffer named
-    `out`)."""
+    `out`). With a `pool` window, the GEMM output is first max-pooled in its
+    own layout (`_window_max`); the GEMM output is dead once its row maxima
+    are taken, so the pooled values take its buffer."""
     gemm, cols = _conv_gemm(x, w, ws)
     n, oh, ow, o = gemm.shape
+    if pool:
+        oh, ow = oh // pool, ow // pool
+        gemm = _window_max(gemm.reshape(n, oh, pool, ow, pool, o), ws, "gemm")
     y = ws.array(out, (n, o, oh, ow), gemm.dtype)
     np.add(gemm.transpose(0, 3, 1, 2), b[:, None, None], out=y)
     return y, cols
@@ -396,33 +401,6 @@ def _pools_first(params, name, desc, dtype) -> bool:
             return False
         finite += [params[(name, ROLE_BN_SHIFT)], params[(name, ROLE_BN_MEAN)], *positive]
     return all(np.isfinite(v).all() for v in finite)
-
-
-def _conv_pool_eval(x, params, name, desc, window, ws=_FRESH, out="y"):
-    """An eval conv layer and the max pooling after it, for a layer
-    `_pools_first` admits: the conv GEMM, max pooling of its output in the
-    (n, oh, ow, o) layout, the bias added in the one copy that transposes
-    the pooled values to NCHW `y` (from `ws`'s buffer named `out`), and
-    eval batch norm in place on `y`. The pool rows come from `ws`.
-    """
-    gemm, _ = _conv_gemm(x, params[(name, ROLE_WEIGHT)], ws)
-    n, oh, ow, o = gemm.shape
-    ph, pw = oh // window, ow // window
-    taps = gemm.reshape(n, ph, window, ow * o)
-    rows = np.maximum(taps[:, :, 0], taps[:, :, window - 1],
-                      out=ws.array("rows", (n, ph, ow * o), gemm.dtype))
-    for a in range(1, window - 1):
-        np.maximum(rows, taps[:, :, a], out=rows)
-    rows = rows.reshape(n, ph, pw, window, o)
-    pooled = rows[:, :, :, 0]  # the maxima gather in each window's first column
-    np.maximum(pooled, rows[:, :, :, window - 1], out=pooled)
-    for b in range(1, window - 1):
-        np.maximum(pooled, rows[:, :, :, b], out=pooled)
-    y = ws.array(out, (n, o, ph, pw), gemm.dtype)
-    np.add(pooled.transpose(0, 3, 1, 2), params[(name, ROLE_BIAS)][:, None, None], out=y)
-    if desc.batch_norm:
-        y, _ = _bn_forward(y, params, name, "eval")
-    return y
 
 
 def _conv_backward(dy, cols, w, x_shape, input_grad=True):
@@ -571,26 +549,35 @@ def _pool_forward(x, window):
     return y, idx
 
 
-def _pool_max(x, window, ws=_FRESH, out="y"):
-    """Window maxima only, as eval needs them: the max over each window's
-    rows, then over its columns, on strided views of `x`.
+def _window_max(v, ws, out):
+    """Window maxima of an (a, ph, window, pw, window, b) view, as eval
+    needs them: the max over each window's rows, then over its columns, on
+    strided views of `v`; returns them as (a, ph, pw, b).
 
-    The rows and `y` (from its buffer named `out`) come from `ws`, so `y`
-    never shares memory with `x` unless `out` names `x`'s buffer. Max is
-    exact, so `y` equals `_pool_forward`'s values as real numbers, NaN in the
-    same places; only the sign of a tied zero or a NaN payload may differ.
+    The rows and the maxima (from its buffer named `out`) come from `ws`,
+    the maxima taken only once the rows are, so `out` may name `v`'s own
+    buffer. Max is exact, so the maxima equal `_pool_forward`'s values as
+    real numbers, NaN in the same places; only the sign of a tied zero or a
+    NaN payload may differ.
     """
-    n, c, h, w = x.shape
-    xr = x.reshape(n, c, h // window, window, w // window, window)
-    rows = np.maximum(xr[:, :, :, 0], xr[:, :, :, window - 1],
-                      out=ws.array("rows", (n, c, h // window, w // window, window), x.dtype))
-    for a in range(1, window - 1):
-        np.maximum(rows, xr[:, :, :, a], out=rows)
-    y = np.maximum(rows[..., 0], rows[..., window - 1],
-                   out=ws.array(out, (n, c, h // window, w // window), x.dtype))
-    for b in range(1, window - 1):
-        np.maximum(y, rows[..., b], out=y)
+    a, ph, window, pw, _, b = v.shape
+    rows = np.maximum(v[:, :, 0], v[:, :, window - 1],
+                      out=ws.array("rows", (a, ph, pw, window, b), v.dtype))
+    for t in range(1, window - 1):
+        np.maximum(rows, v[:, :, t], out=rows)
+    y = np.maximum(rows[:, :, :, 0], rows[:, :, :, window - 1],
+                   out=ws.array(out, (a, ph, pw, b), v.dtype))
+    for t in range(1, window - 1):
+        np.maximum(y, rows[:, :, :, t], out=y)
     return y
+
+
+def _pool_max(x, window, ws=_FRESH, out="y"):
+    """Eval max pooling of NCHW `x` by `_window_max`, into `ws`'s buffer
+    named `out`; it shares no memory with `x` unless `out` names `x`'s."""
+    n, c, h, w = x.shape
+    ph, pw = h // window, w // window
+    return _window_max(x.reshape(n * c, ph, window, pw, window, 1), ws, out).reshape(n, c, ph, pw)
 
 
 def _pool_backward(dy, idx, window, x_shape):
@@ -623,11 +610,11 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     an output never overwrites its input. Logits that no dense layer makes
     are the workspace's too, valid until its next use.
 
-    In eval mode a conv layer followed directly by max pooling runs as one
-    block (`_conv_pool_eval`) where `_pools_first` admits its params: it
-    pools the raw conv output, then adds the bias and batch-normalises only
-    the pooled values. The logits are the same real numbers as the
-    layer-by-layer walk's, NaN in the same places.
+    In eval mode a conv layer followed directly by max pooling pools its
+    raw GEMM output (`_conv_forward`'s `pool`) where `_pools_first` admits
+    its params, then adds the bias and batch-normalises only the pooled
+    values. The logits are the same real numbers as the layer-by-layer
+    walk's, NaN in the same places.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -645,19 +632,18 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     owned = False  # whether x is an array this call allocated
     records = []
     keep = records.append if train else (lambda record: None)
-    pooled = -1  # the index of a pool layer already run by the conv block before it
+    pooled = -1  # the index of a pool layer already run by the conv before it
     for i, (name, desc, in_shape, _) in enumerate(layers):
         if i == pooled:
             continue
         if isinstance(desc, Conv):
             w = params[(name, ROLE_WEIGHT)]
-            pool = layers[i + 1][1] if i + 1 < len(layers) else None
-            if (not train and isinstance(pool, MaxPool)
+            nxt = layers[i + 1][1] if i + 1 < len(layers) else None
+            pool = 0
+            if (not train and isinstance(nxt, MaxPool)
                     and _pools_first(params, name, desc, np.result_type(x.dtype, w.dtype))):
-                x = _conv_pool_eval(x, params, name, desc, pool.window, ws, f"out{slot}")
-                owned, slot, pooled = True, 1 - slot, i + 1
-                continue
-            y, cols = _conv_forward(x, w, params[(name, ROLE_BIAS)], ws, f"out{slot}")
+                pool, pooled = nxt.window, i + 1
+            y, cols = _conv_forward(x, w, params[(name, ROLE_BIAS)], ws, f"out{slot}", pool)
             bn_cache = None
             if desc.batch_norm:
                 y, bn_cache = _bn_forward(y, params, name, mode)
@@ -722,7 +708,7 @@ def backward(cache: ForwardCache, labels: np.ndarray):
         len(records),
     )
     # one buffer in the params' layout; running statistics keep zero grads
-    grads = ParamSet.over(params.layout, np.zeros_like(params.flat))
+    grads = params.zeros_like()
     for i in range(len(records) - 1, lowest - 1, -1):
         name, desc, rec = records[i]
         input_grad = i > lowest

@@ -253,25 +253,19 @@ def reference_eval_forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray)
     return x
 
 
-def reference_conv_pool_eval(x, params: ParamSet, name: str, desc, window: int,
-                             ws=None, out=None) -> np.ndarray:
-    """The eval conv block as the layer walk composes it: the reference conv
-    with its bias, batch norm on its whole output, then max pooling."""
-    y, _ = reference_conv_forward(x, params[(name, E.ROLE_WEIGHT)], params[(name, E.ROLE_BIAS)])
-    if desc.batch_norm:
-        y, _ = reference_bn_forward(y, params, name, "eval")
-    return reference_pool_forward(y, window)[0]
-
-
 def use_reference_kernels(monkeypatch) -> None:
     """Swap the reference kernels into the engine for the rest of a test.
 
     The reference conv backward always forms the input gradient; `backward`
     drops it at the lowest parameter layer. The reference forward kernels
-    ignore a workspace and allocate.
+    ignore a workspace and allocate. Given a `pool` window, the conv runs
+    with its bias, then the reference max pooling.
     """
-    monkeypatch.setattr(E, "_conv_forward",
-                        lambda x, w, b, ws=None, out=None: reference_conv_forward(x, w, b))
+    def conv_forward(x, w, b, ws=None, out=None, pool=0):
+        y, cols = reference_conv_forward(x, w, b)
+        return (reference_pool_forward(y, pool)[0] if pool else y), cols
+
+    monkeypatch.setattr(E, "_conv_forward", conv_forward)
     monkeypatch.setattr(
         E, "_conv_backward",
         lambda dy, cols, w, x_shape, input_grad=True: reference_conv_backward(dy, cols, w, x_shape),
@@ -279,7 +273,6 @@ def use_reference_kernels(monkeypatch) -> None:
     monkeypatch.setattr(E, "_pool_forward", reference_pool_forward)
     monkeypatch.setattr(E, "_pool_max",
                         lambda x, window, ws=None, out=None: reference_pool_forward(x, window)[0])
-    monkeypatch.setattr(E, "_conv_pool_eval", reference_conv_pool_eval)
     monkeypatch.setattr(E, "_pool_backward", reference_pool_backward)
     monkeypatch.setattr(E, "_bn_forward", reference_bn_forward)
     monkeypatch.setattr(E, "_bn_backward", reference_bn_backward)

@@ -17,8 +17,7 @@ from subfed.pruning import dense_mask, full_coverage
 
 from helpers import (
     random_small_spec, reference_bn_backward, reference_bn_forward, reference_col2im,
-    reference_conv_backward, reference_conv_forward, reference_conv_pool_eval,
-    reference_eval_forward,
+    reference_conv_backward, reference_conv_forward, reference_eval_forward,
     reference_pool_backward, reference_pool_forward, same_bits, tiny_dense_spec,
     use_reference_kernels,
 )
@@ -628,14 +627,17 @@ def _pooled_convs(spec):
 
 
 def _spy_block(monkeypatch):
-    """The names of the conv layers the eval conv block runs, call by call."""
-    ran, block = [], E._conv_pool_eval
+    """The names of the conv layers whose eval pass pools before the bias
+    add and batch norm, call by call."""
+    ran, admits = [], E._pools_first
 
-    def spy(x, params, name, *args):
-        ran.append(name)
-        return block(x, params, name, *args)
+    def spy(params, name, *args):
+        admitted = admits(params, name, *args)
+        if admitted:
+            ran.append(name)
+        return admitted
 
-    monkeypatch.setattr(E, "_conv_pool_eval", spy)
+    monkeypatch.setattr(E, "_pools_first", spy)
     return ran
 
 
@@ -697,8 +699,56 @@ class TestEvalConvBlock:
         assert ran == ["conv2"]
 
     def test_reference_kernels_replace_the_block(self, monkeypatch):
+        """The reference stand-in for `_conv_forward` pools where `forward`
+        asks it to, and the layer walk's logits come out."""
+        spec = builtin_spec("synth-cnn")
+        rng = np.random.default_rng(8)
+        params = _block_params(spec, np.float32, rng)
+        x = _special_batch(spec, 20, np.float32, rng)
+        w, b = params[("conv1", E.ROLE_WEIGHT)], params[("conv1", E.ROLE_BIAS)]
+        y, _ = reference_conv_forward(x, w, b)
         use_reference_kernels(monkeypatch)
-        assert E._conv_pool_eval is reference_conv_pool_eval
+        ran = _spy_block(monkeypatch)
+        assert same_bits(E._conv_forward(x, w, b)[0], y)
+        assert same_bits(E._conv_forward(x, w, b, pool=2)[0], reference_pool_forward(y, 2)[0])
+        got, _ = forward(spec, params, x, "eval")
+        _assert_same_reals(got, reference_eval_forward(spec, params, x), spec.name)
+        assert ran == ["conv1", "conv2"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestWindowMax:
+    """One window-max kernel pools NCHW layers (`_pool_max`) and conv GEMM
+    outputs in their (n, oh, ow, o) layout (`_conv_forward`'s `pool`); both
+    give the reference pooling's values as real numbers, NaN in the same
+    places. The inputs are `_special_batch`es of 12x12 images."""
+
+    @pytest.mark.parametrize("workspace", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_nchw(self, window, dtype, workspace):
+        x = _special_batch(ModelSpec("nchw", (3, 12, 12), ()), 20, dtype,
+                           np.random.default_rng(window))
+        ref, _ = reference_pool_forward(x, window)
+        assert np.isnan(ref).any() and np.isposinf(ref).any() and (ref == 0).any()
+        ws = E.Workspace() if workspace else E._FRESH
+        _assert_same_reals(E._pool_max(x, window, ws), ref, (window, dtype))
+
+    @pytest.mark.parametrize("workspace", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_gemm_layout(self, window, dtype, workspace):
+        """A 1x1 conv with power-of-two weights puts the specials, scaled
+        exactly and of both signs, into every GEMM output channel."""
+        rng = np.random.default_rng(10 + window)
+        x = _special_batch(ModelSpec("gemm", (1, 12, 12), ()), 20, dtype, rng)
+        w = np.array([1.0, -2.0, 0.5], dtype).reshape(3, 1, 1, 1)
+        b = rng.normal(size=3).astype(dtype)
+        ref, _ = reference_pool_forward(reference_conv_forward(x, w, b)[0], window)
+        assert np.isnan(ref).any() and np.isposinf(ref).any()
+        ws = E.Workspace() if workspace else E._FRESH
+        y, _ = E._conv_forward(x, w, b, ws, pool=window)
+        _assert_same_reals(y, ref, (window, dtype))
 
 
 def _reference_accuracy(spec, params, x, y):

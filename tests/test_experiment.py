@@ -196,16 +196,17 @@ def test_artifacts_identical_across_parallelism(tmp_path, algorithm):
 def test_eval_conv_block_keeps_artifacts(tmp_path, monkeypatch, workload):
     """Each benchmark workload, 2 rounds at parallelism 1, writes the same
     bytes whether eval pools before the bias add and batch norm or not."""
-    block, ran = engine._conv_pool_eval, []
+    admits, ran = engine._pools_first, []
 
     def spy(*args):
-        ran.append(args[2])
-        return block(*args)
+        admitted = admits(*args)
+        ran.append(admitted)
+        return admitted
 
     cfg = dict(workloads.overrides(workload, 5, "unused", rounds=2), parallelism=1)
-    monkeypatch.setattr(engine, "_conv_pool_eval", spy)
+    monkeypatch.setattr(engine, "_pools_first", spy)
     on = run(tmp_path / "on", cfg)
-    assert ran  # the block ran
+    assert any(ran)  # some conv pooled first
     monkeypatch.setattr(engine, "_pools_first", lambda *args: False)
     off = run(tmp_path / "off", cfg)
     for name in ARTIFACTS:
