@@ -5,7 +5,6 @@ from .engine import ModelSpec, OptimizerState, ParamSet, builtin_spec, init_para
 from .federation import (
     ClientState,
     ClientUpdateResult,
-    RoundReport,
     ServerState,
     aggregate_fedavg,
     aggregate_sub_fedavg,
@@ -29,7 +28,6 @@ __all__ = [
     "OptimizerState",
     "ParamSet",
     "PruneSchedule",
-    "RoundReport",
     "ServerState",
     "SparsityMask",
     "aggregate_fedavg",

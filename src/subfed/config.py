@@ -41,10 +41,10 @@ class ExperimentConfig:
     shard_size: int = _key("data", 0, ge=0)  # 0 = dataset default (250; 125 for cifar100)
     shards_per_client: int = _key("data", 2, ge=1)
     val_fraction: float = _key("data", 0.1, flag=None, gt=0, lt=1)
-    synth_classes: int = _key("data", 10)
-    synth_per_class: int = _key("data", 600)
-    synth_test_per_class: int = _key("data", 100)
-    synth_separation: float = _key("data", 0.35)
+    synth_classes: int = _key("data", 10, ge=2)
+    synth_per_class: int = _key("data", 600, ge=1)
+    synth_test_per_class: int = _key("data", 100, ge=1)
+    synth_separation: float = _key("data", 0.35, ge=0)
 
     model: str = _key("model", "", ini_key="name")  # "" = dataset default
 
@@ -138,19 +138,11 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"keys 'shard_size'/'shards_per_client'/'val_fraction': all {examples} of a "
             f"client's examples go to its validation split, leaving none to train on"
         )
-    if cfg.dataset == "synthetic":
-        if cfg.synth_classes < 2:
-            reject(f"key 'synth_classes': must be >= 2, got {cfg.synth_classes}")
-        if cfg.synth_per_class < 1 or cfg.synth_test_per_class < 1:
-            reject("keys 'synth_per_class'/'synth_test_per_class': must be >= 1")
-        if cfg.synth_separation < 0:
-            reject(f"key 'synth_separation': must be >= 0, got {cfg.synth_separation}")
-    else:
-        if cfg.resolved_data_root() is None:
-            reject(
-                f"dataset {cfg.dataset!r} needs a data root: set [data] data_root, "
-                f"--data-root, or ${DATA_ROOT_ENV}"
-            )
+    if cfg.dataset != "synthetic" and cfg.resolved_data_root() is None:
+        reject(
+            f"dataset {cfg.dataset!r} needs a data root: set [data] data_root, "
+            f"--data-root, or ${DATA_ROOT_ENV}"
+        )
     from .engine import Conv, SpecError, builtin_spec
 
     try:

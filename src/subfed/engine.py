@@ -86,26 +86,8 @@ class ModelSpec:
     layers: tuple[LayerDesc, ...]
 
 
-def _layer_names(spec: ModelSpec) -> list[str]:
-    names, counts = [], {"conv": 0, "pool": 0, "relu": 0, "fc": 0}
-    for desc in spec.layers:
-        if isinstance(desc, Conv):
-            counts["conv"] += 1
-            names.append(f"conv{counts['conv']}")
-        elif isinstance(desc, MaxPool):
-            counts["pool"] += 1
-            names.append(f"pool{counts['pool']}")
-        elif isinstance(desc, Relu):
-            counts["relu"] += 1
-            names.append(f"relu{counts['relu']}")
-        elif isinstance(desc, Flatten):
-            names.append("flatten")
-        elif isinstance(desc, Dense):
-            counts["fc"] += 1
-            names.append(f"fc{counts['fc']}")
-        else:
-            raise SpecError(f"unknown layer descriptor {desc!r}")
-    return names
+# each descriptor type's layer-name stem; every kind but flatten is numbered
+_KINDS = ((Conv, "conv"), (MaxPool, "pool"), (Relu, "relu"), (Flatten, "flatten"), (Dense, "fc"))
 
 
 @lru_cache(maxsize=128)
@@ -114,12 +96,16 @@ def walk_shapes(spec: ModelSpec) -> list[tuple[str, LayerDesc, tuple, tuple]]:
 
     Raises SpecError naming the first layer whose input does not compose.
     """
-    names = _layer_names(spec)
     shape: tuple = tuple(spec.input_shape)
     if len(shape) != 3 or any(int(d) <= 0 for d in shape):
         raise SpecError(f"{spec.name}: input_shape must be 3 positive extents, got {shape}")
-    out = []
-    for name, desc in zip(names, spec.layers):
+    out, counts = [], {}
+    for desc in spec.layers:
+        kind = next((k for t, k in _KINDS if isinstance(desc, t)), None)
+        if kind is None:
+            raise SpecError(f"unknown layer descriptor {desc!r}")
+        counts[kind] = counts.get(kind, 0) + 1
+        name = kind if kind == "flatten" else f"{kind}{counts[kind]}"
         if isinstance(desc, Conv):
             if len(shape) != 3:
                 raise SpecError(f"{spec.name}:{name}: conv needs a (C,H,W) input, got {shape}")
@@ -160,10 +146,6 @@ def walk_shapes(spec: ModelSpec) -> list[tuple[str, LayerDesc, tuple, tuple]]:
 def class_count(spec: ModelSpec) -> int:
     final = walk_shapes(spec)[-1][3]
     return int(np.prod(final))
-
-
-def conv_channel_count(spec: ModelSpec) -> int:
-    return sum(d.out_channels for d in spec.layers if isinstance(d, Conv))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +241,6 @@ class OptimizerState:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-
-    def reset(self) -> None:
-        self.velocity = None
 
 
 def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ParamSet:
@@ -793,77 +772,67 @@ def evaluate_accuracy(
 # ---------------------------------------------------------------------------
 
 
-def _cnn5_mnist() -> ModelSpec:
-    # 32x32 inputs (28x28 MNIST/EMNIST padded): 30900 learnables, 30 conv channels.
-    return ModelSpec(
-        name="cnn5-mnist",
-        input_shape=(1, 32, 32),
-        layers=(
-            Conv(1, 10, 5, batch_norm=True),
-            MaxPool(2),
-            Relu(),
-            Conv(10, 20, 5, batch_norm=True),
-            MaxPool(2),
-            Relu(),
-            Flatten(),
-            Dense(500, 50),
-            Relu(),
-            Dense(50, 10),
-        ),
-    )
+# 32x32 inputs (28x28 MNIST/EMNIST padded): 30900 learnables, 30 conv channels.
+CNN5_MNIST = ModelSpec(
+    name="cnn5-mnist",
+    input_shape=(1, 32, 32),
+    layers=(
+        Conv(1, 10, 5, batch_norm=True),
+        MaxPool(2),
+        Relu(),
+        Conv(10, 20, 5, batch_norm=True),
+        MaxPool(2),
+        Relu(),
+        Flatten(),
+        Dense(500, 50),
+        Relu(),
+        Dense(50, 10),
+    ),
+)
 
+# LeNet-5 with BN after each conv: 62050 learnables (62006 excl. BN), 22 channels.
+LENET5_CIFAR = ModelSpec(
+    name="lenet5-cifar",
+    input_shape=(3, 32, 32),
+    layers=(
+        Conv(3, 6, 5, batch_norm=True),
+        MaxPool(2),
+        Relu(),
+        Conv(6, 16, 5, batch_norm=True),
+        MaxPool(2),
+        Relu(),
+        Flatten(),
+        Dense(400, 120),
+        Relu(),
+        Dense(120, 84),
+        Relu(),
+        Dense(84, 10),
+    ),
+)
 
-def _lenet5_cifar() -> ModelSpec:
-    # LeNet-5 with BN after each conv: 62050 learnables (62006 excl. BN), 22 channels.
-    return ModelSpec(
-        name="lenet5-cifar",
-        input_shape=(3, 32, 32),
-        layers=(
-            Conv(3, 6, 5, batch_norm=True),
-            MaxPool(2),
-            Relu(),
-            Conv(6, 16, 5, batch_norm=True),
-            MaxPool(2),
-            Relu(),
-            Flatten(),
-            Dense(400, 120),
-            Relu(),
-            Dense(120, 84),
-            Relu(),
-            Dense(84, 10),
-        ),
-    )
+# Desk-scale net for synthetic benchmarks (~5.9k learnables).
+SYNTH_CNN = ModelSpec(
+    name="synth-cnn",
+    input_shape=(1, 20, 20),
+    layers=(
+        Conv(1, 8, 5, batch_norm=True),
+        MaxPool(2),
+        Relu(),
+        Conv(8, 16, 5, batch_norm=True),
+        MaxPool(2),
+        Relu(),
+        Flatten(),
+        Dense(64, 32),
+        Relu(),
+        Dense(32, 10),
+    ),
+)
 
-
-def _synth_cnn() -> ModelSpec:
-    # Desk-scale net for synthetic benchmarks (~5.9k learnables).
-    return ModelSpec(
-        name="synth-cnn",
-        input_shape=(1, 20, 20),
-        layers=(
-            Conv(1, 8, 5, batch_norm=True),
-            MaxPool(2),
-            Relu(),
-            Conv(8, 16, 5, batch_norm=True),
-            MaxPool(2),
-            Relu(),
-            Flatten(),
-            Dense(64, 32),
-            Relu(),
-            Dense(32, 10),
-        ),
-    )
-
-
-_BUILTIN = {
-    "cnn5-mnist": _cnn5_mnist,
-    "lenet5-cifar": _lenet5_cifar,
-    "synth-cnn": _synth_cnn,
-}
+_BUILTIN = {spec.name: spec for spec in (CNN5_MNIST, LENET5_CIFAR, SYNTH_CNN)}
 
 
 def builtin_spec(name: str) -> ModelSpec:
     try:
-        return _BUILTIN[name]()
+        return _BUILTIN[name]
     except KeyError:
         raise SpecError(f"unknown model spec {name!r}; available: {sorted(_BUILTIN)}") from None

@@ -287,17 +287,13 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     with open(tmp / "rounds.ndjson", "w") as stream:
         stream.write(json.dumps({"config": provenance_dict(cfg)}, sort_keys=True) + "\n")
         for _ in range(cfg.rounds):
-            # only the plain record and the served counts outlive the round:
-            # the report holds the clients' params and masks
-            report = run_round(
+            record = run_round(
                 server, clients, cfg.algorithm,
                 epochs=cfg.local_epochs,
                 batch_size=cfg.batch_size,
                 parallelism=parallelism,
                 aggregation_mode=cfg.aggregation,
             )
-            record, served_counts = report.to_json_dict(), report.served_counts
-            del report
             records.append(record)
             stream.write(json.dumps(record, sort_keys=True) + "\n")
             if progress is not None:
@@ -309,9 +305,9 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     # clients never sampled all still hold copies of the initial params, so
     # clients with bit-equal params share their scores. A served accuracy
     # holds only if the client was in the final round: every aggregation
-    # since an earlier one has changed the global params. The final round's
+    # since an earlier one has changed the global params. The server's
     # (mask, label) counts were taken under the global params as they are
-    # now, so the clients that missed it reuse them.
+    # now, so the clients that missed the final round reuse them.
     latest = {c["id"]: c for record in records for c in record["clients"]}
     local = {cid: c["local_accuracy"] for cid, c in latest.items()}
     unsampled = [cid for cid in sorted(clients) if cid not in latest]
@@ -326,7 +322,7 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
         stale = [cid for cid in sorted(clients) if cid not in served]
         served.update(zip(stale, served_accuracies(
             evaluate_accuracy, apply_mask, server.spec, server.params,
-            [clients[cid] for cid in stale], parallelism, served_counts,
+            [clients[cid] for cid in stale], parallelism, server.served_counts,
         )))
     client_rows = [
         (

@@ -64,7 +64,7 @@ class ClientState:
     params: ParamSet
     mask: SparsityMask
     schedule: PruneSchedule
-    optimizer: OptimizerState
+    optimizer: OptimizerState  # lr and momentum; each client_update starts a fresh velocity
 
 
 @dataclass
@@ -75,12 +75,15 @@ class ServerState:
     sampling_rate: float = 1.0
     seed: int = 0
     round_index: int = 0
+    # the served phase's correct count per (mask bits, label) under `params`;
+    # a round that aggregates new params starts a fresh one
+    served_counts: dict = field(default_factory=dict)
 
 
 @dataclass
 class ClientUpdateResult:
     """What a client uploads in a round (params, mask) and what the round
-    records about it; `run_round` sets `served_accuracy` after aggregation."""
+    records about it."""
 
     client_id: int
     params: ParamSet
@@ -94,11 +97,11 @@ class ClientUpdateResult:
     uplink_bits: int
     downlink_bits: int
     conv_flops: int
-    served_accuracy: float | None = None
 
     def to_json_dict(self) -> dict:
-        """The client's entry in a round record: every field but the params
-        and the mask, plus the mask's three sparsities."""
+        """The client's entry in a round record, but for the served accuracy
+        that `run_round` adds: every field but the params and the mask, plus
+        the mask's three sparsities."""
         row = {
             f.name: getattr(self, f.name)
             for f in fields(self) if f.name not in ("client_id", "params", "mask")
@@ -260,8 +263,7 @@ def client_update(
     start = theta_g if exchange else client.params
     params = apply_mask(start, client.mask)
 
-    opt = client.optimizer
-    opt.reset()
+    opt = OptimizerState(client.optimizer.learning_rate, client.optimizer.momentum)
     n = len(client.x_train)
     first = last = None
     for epoch in range(epochs):
@@ -394,37 +396,6 @@ def client_mean(clients: list[dict], key: str) -> float:
     return float(np.mean([c[key] for c in clients]))
 
 
-@dataclass
-class RoundReport:
-    """A round's client results. `served_counts` holds the served phase's
-    correct count per (mask bits, label) pair under the aggregated params;
-    no artifact records it."""
-
-    round_index: int
-    algorithm: str
-    selected: list[int]
-    clients: list[ClientUpdateResult]
-    served_counts: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        """The round record (one line of rounds.ndjson): the client entries,
-        with their means and totals."""
-        rows = [c.to_json_dict() for c in self.clients]
-        return {
-            "round": self.round_index,
-            "algorithm": self.algorithm,
-            "selected": list(self.selected),
-            "mean_local_accuracy": client_mean(rows, "local_accuracy"),
-            "mean_served_accuracy": client_mean(rows, "served_accuracy"),
-            "mean_sparsity_unstructured": client_mean(rows, "sparsity_unstructured"),
-            "mean_sparsity_channel": client_mean(rows, "sparsity_channel"),
-            "total_uplink_bits": sum(c["uplink_bits"] for c in rows),
-            "total_downlink_bits": sum(c["downlink_bits"] for c in rows),
-            "total_conv_flops": sum(c["conv_flops"] for c in rows),
-            "clients": rows,
-        }
-
-
 def run_round(
     server: ServerState,
     clients: dict[int, ClientState],
@@ -434,14 +405,17 @@ def run_round(
     batch_size: int = 10,
     parallelism: int = 1,
     aggregation_mode: str = "per-position",
-) -> RoundReport:
-    """sample -> local updates -> aggregate -> served evaluation -> report.
+) -> dict:
+    """sample -> local updates -> aggregate -> served evaluation; returns the
+    round record (one line of rounds.ndjson): the client entries, with their
+    means and totals.
 
     The local updates and the served evaluations run on `parallelism`
-    workers. Concurrent and serial execution produce identical reports: every
+    workers. Concurrent and serial execution produce identical records: every
     client update only touches its own state, and results fold in client-id
     order. Clients with bit-equal masks share their served model's scores
-    (`served_accuracies`).
+    (`served_accuracies`), and the counts stay on the server
+    (`ServerState.served_counts`) until the next aggregation.
     """
     if algorithm not in ALGORITHM_CHOICES:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHM_CHOICES}")
@@ -463,16 +437,26 @@ def run_round(
             server.params = aggregate_fedavg(results)
         else:
             server.params = aggregate_sub_fedavg(results, server.params, mode=aggregation_mode)
-    server.round_index = round_index + 1
-
-    counts: dict = {}
-    if exchange:
+        server.served_counts = {}
         served = served_accuracies(
             evaluate_accuracy, apply_mask, server.spec, server.params,
-            [clients[cid] for cid in selected], parallelism, counts,
+            [clients[cid] for cid in selected], parallelism, server.served_counts,
         )
     else:
         served = [r.local_accuracy for r in results]
-    for r, acc in zip(results, served):
-        r.served_accuracy = acc
-    return RoundReport(round_index, algorithm, selected, results, counts)
+    server.round_index = round_index + 1
+
+    rows = [{**r.to_json_dict(), "served_accuracy": acc} for r, acc in zip(results, served)]
+    return {
+        "round": round_index,
+        "algorithm": algorithm,
+        "selected": selected,
+        "mean_local_accuracy": client_mean(rows, "local_accuracy"),
+        "mean_served_accuracy": client_mean(rows, "served_accuracy"),
+        "mean_sparsity_unstructured": client_mean(rows, "sparsity_unstructured"),
+        "mean_sparsity_channel": client_mean(rows, "sparsity_channel"),
+        "total_uplink_bits": sum(c["uplink_bits"] for c in rows),
+        "total_downlink_bits": sum(c["downlink_bits"] for c in rows),
+        "total_conv_flops": sum(c["conv_flops"] for c in rows),
+        "clients": rows,
+    }

@@ -16,7 +16,6 @@ from typing import Iterable
 import numpy as np
 
 from .engine import (
-    RUNNING_ROLES,
     ROLE_BIAS,
     ROLE_BN_SCALE,
     ROLE_WEIGHT,
@@ -35,16 +34,9 @@ class SparsityMask:
     tensors the unstructured part governs; `channel_keep` maps each conv
     layer to a bool per out-channel, or is None."""
 
-    def __init__(self, bits: ParamSet | dict[Key, np.ndarray], covered: Iterable[Key],
+    def __init__(self, bits: ParamSet, covered: Iterable[Key],
                  channel_keep: dict[str, np.ndarray] | None = None):
-        """`bits` is a bool ParamSet laid out like the params, or a dict of
-        the learnable bitmaps; from a dict, the running statistics of each
-        BN layer take the layer's channel keep bits, or 1."""
-        if not isinstance(bits, ParamSet):
-            ones = {n: np.ones(b.shape, dtype=bool)
-                    for (n, r), b in bits.items() if r == ROLE_BN_SCALE}
-            keep = {**ones, **(channel_keep or {})}
-            bits = ParamSet({**bits, **{(n, r): keep[n] for n in ones for r in RUNNING_ROLES}})
+        """`bits` is a bool ParamSet laid out like the params."""
         self.layout, self.flat = bits.layout, bits.flat
         self.bits = dict(bits.learnable_items())
         self.covered = tuple(covered)

@@ -173,6 +173,10 @@ RANGES = {
     **{f"eps_{kind}": (dict(ge=0), [0.0, 0.05], [below(0.0)])
        for kind in ("unstructured", "structured")},
     "acc_threshold": (dict(ge=0, le=101), [0.0, 50.0, 101.0], [below(0.0), above(101.0)]),
+    "synth_classes": (dict(ge=2), [2, 10], [1]),
+    "synth_per_class": (dict(ge=1), [1, 600], [0]),
+    "synth_test_per_class": (dict(ge=1), [1, 100], [0]),
+    "synth_separation": (dict(ge=0), [0.0, 0.35], [below(0.0)]),
 }
 FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 ACCEPTED = [(key, v) for key, (_, accepted, _) in RANGES.items() for v in accepted]

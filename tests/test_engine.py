@@ -10,7 +10,7 @@ from subfed import engine as E
 from subfed.engine import (
     Conv, Dense, Flatten, MaxPool, ModelSpec, OptimizerState, ParamSet, Relu,
     LabelError, ShapeError, SpecError,
-    backward, builtin_spec, conv_channel_count, evaluate_accuracy, forward,
+    backward, builtin_spec, evaluate_accuracy, forward,
     init_params, sgd_step, walk_shapes,
 )
 from subfed.pruning import dense_mask, full_coverage
@@ -36,7 +36,6 @@ class TestParamCounts:
         spec = builtin_spec("cnn5-mnist")
         params = init_params(spec, seed=7)
         assert params.layout.n_learnable == 30900
-        assert conv_channel_count(spec) == 30
 
     def test_cnn5_layer_structure(self):
         spec = builtin_spec("cnn5-mnist")
@@ -53,7 +52,7 @@ class TestParamCounts:
         sans_bn = sum(v.size for k, v in params.items() if k[1] in ("weight", "bias"))
         assert sans_bn == 62006
         assert round(sans_bn, -3) == 62000
-        assert conv_channel_count(spec) == 22
+        assert sum(d.out_channels for d in spec.layers if isinstance(d, Conv)) == 22
 
     def test_unknown_spec(self):
         with pytest.raises(SpecError, match="unknown model spec"):
@@ -74,6 +73,18 @@ class TestSpecValidation:
     def test_pool_must_tile(self):
         spec = ModelSpec("bad", (1, 5, 5), (MaxPool(2),))
         with pytest.raises(SpecError, match="pool1"):
+            walk_shapes(spec)
+
+    def test_layers_named_by_kind(self):
+        names = [name for name, *_ in walk_shapes(builtin_spec("lenet5-cifar"))]
+        assert names == [
+            "conv1", "pool1", "relu1", "conv2", "pool2", "relu2",
+            "flatten", "fc1", "relu3", "fc2", "relu4", "fc3",
+        ]
+
+    def test_unknown_descriptor(self):
+        spec = ModelSpec("bad", (1, 4, 4), (Flatten(), "dense"))
+        with pytest.raises(SpecError, match="unknown layer descriptor 'dense'"):
             walk_shapes(spec)
 
 

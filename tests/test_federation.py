@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import subfed
 from subfed import engine as E
 from subfed import federation
 from subfed.config import ALGORITHM_CHOICES
@@ -41,9 +42,13 @@ from subfed.pruning import (
 from helpers import block_score
 
 
+def test_every_public_name_resolves():
+    assert all(hasattr(subfed, name) for name in subfed.__all__)
+
+
 def result_from(client_id, values, keep):
     params = ParamSet({("fc1", "weight"): np.asarray(values, dtype=np.float32)})
-    bits = {("fc1", "weight"): np.asarray(keep, dtype=bool)}
+    bits = ParamSet({("fc1", "weight"): np.asarray(keep, dtype=bool)})
     return result_of(client_id, params, SparsityMask(bits, full_coverage(params), None))
 
 
@@ -231,8 +236,12 @@ class TestKeepRule:
             assert np.array_equal(masked[key][~pruned], self.params[key][~pruned])
 
     def test_exchange_count_leaves_statistics_of_pruned_channels_out(self):
+        # the mask's learnable bits, with every running statistic kept
+        all_stats = ParamSet.over(self.params.layout, self.mask.flat.copy())
+        for key in self.stat_keys():
+            all_stats[key][...] = True
         every_channel = SparsityMask(
-            self.mask.bits, self.mask.covered,
+            all_stats, self.mask.covered,
             {layer: np.ones_like(keep) for layer, keep in self.mask.channel_keep.items()},
         )
         kept_learnables = sum(int(bits.sum()) for bits in self.mask.bits.values())
@@ -491,7 +500,7 @@ class TestRunRound:
     def test_standalone_keeps_global_and_zero_bytes(self):
         server, clients = build_population()
         before = server.params.copy()
-        record = run_round(server, clients, "standalone", epochs=2, batch_size=10).to_json_dict()
+        record = run_round(server, clients, "standalone", epochs=2, batch_size=10)
         assert all(np.array_equal(before[k], server.params[k]) for k in before.keys())
         assert record["total_uplink_bits"] == 0
         assert record["total_downlink_bits"] == 0
@@ -499,7 +508,7 @@ class TestRunRound:
 
     def test_fedavg_round_reports_zero_sparsity(self):
         server, clients = build_population()
-        record = run_round(server, clients, "fedavg", epochs=2, batch_size=10).to_json_dict()
+        record = run_round(server, clients, "fedavg", epochs=2, batch_size=10)
         assert all(c["sparsity"] == 0.0 for c in record["clients"])
         assert record["mean_sparsity_unstructured"] == 0.0
 
@@ -509,7 +518,7 @@ class TestRunRound:
             target_unstructured=40.0, target_structured=40.0, acc_threshold=0.0,
             eps_unstructured=0.0, eps_structured=0.0,
         )
-        record = run_round(server, clients, "sub-fedavg-hy", epochs=2, batch_size=10).to_json_dict()
+        record = run_round(server, clients, "sub-fedavg-hy", epochs=2, batch_size=10)
         rows = record["clients"]
         assert [c["id"] for c in rows] == record["selected"] == [0, 1, 2, 3]
         assert all(set(c) == {
@@ -532,13 +541,13 @@ class TestRunRound:
             assert record[f"total_{key}"] == sum(c[key] for c in rows)
 
     def test_round_deterministic(self):
-        reports = []
+        records = []
         for _ in range(2):
             server, clients = build_population(seed=5)
-            reports.append(
+            records.append(
                 run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
             )
-        assert reports[0].to_json_dict() == reports[1].to_json_dict()
+        assert records[0] == records[1]
 
     def test_parallel_equals_serial(self):
         # more workers than clients and cores, switching threads often
@@ -548,15 +557,15 @@ class TestRunRound:
         try:
             for workers in (1, 4, 8):
                 server, clients = build_population(seed=6)
-                report = run_round(
+                record = run_round(
                     server, clients, "sub-fedavg-un", epochs=2, batch_size=10,
                     parallelism=workers,
                 )
-                outputs.append((report.to_json_dict(), server.params))
+                outputs.append((record, server.params))
         finally:
             sys.setswitchinterval(interval)
-        for report, params in outputs[1:]:
-            assert report == outputs[0][0]
+        for record, params in outputs[1:]:
+            assert record == outputs[0][0]
             assert all(np.array_equal(params[k], outputs[0][1][k]) for k in params.keys())
 
     def test_masks_stable_after_target_reached(self):
@@ -568,8 +577,8 @@ class TestRunRound:
             run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
         snapshots = {cid: c.mask.copy() for cid, c in clients.items()}
         for _ in range(3):
-            report = run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
-            assert not any(c["pruned_unstructured"] for c in report.to_json_dict()["clients"])
+            record = run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
+            assert not any(c["pruned_unstructured"] for c in record["clients"])
         for cid, client in clients.items():
             assert all(
                 np.array_equal(snapshots[cid].bits[k], client.mask.bits[k])
@@ -595,6 +604,38 @@ class TestRunRound:
         with pytest.raises(ValueError, match="unknown algorithm"):
             run_round(server, clients, "fedprox", epochs=2, batch_size=10)
 
+    def test_clients_keep_no_velocity_between_rounds(self):
+        server, clients = build_population()
+        record = run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
+        assert record["selected"]
+        assert all(clients[cid].optimizer.velocity is None for cid in record["selected"])
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "sub-fedavg-un"])
+    def test_served_counts_replaced_by_each_aggregation(self, algorithm):
+        server, clients = build_population(algorithm=algorithm, **open_gates(algorithm))
+        held = []
+        for _ in range(2):
+            record = run_round(server, clients, algorithm, epochs=2, batch_size=10)
+            counts = server.served_counts
+            assert all(counts is not earlier for earlier in held)
+            held.append(counts)
+            # one count per (mask, label) pair of the round's sample, under
+            # the params the round aggregated
+            pairs = {(clients[cid].mask.flat.tobytes(), label): (clients[cid], label)
+                     for cid in record["selected"] for label in clients[cid].eval_blocks}
+            assert counts.keys() == pairs.keys()
+            for key, (client, label) in pairs.items():
+                x, y = client.eval_blocks[label]
+                served = apply_mask(server.params, client.mask)
+                assert counts[key] == round(E.evaluate_accuracy(server.spec, served, x, y)
+                                            * len(x) / 100)
+
+    def test_standalone_leaves_served_counts_empty(self):
+        server, clients = build_population(algorithm="standalone")
+        for _ in range(2):
+            run_round(server, clients, "standalone", epochs=2, batch_size=10)
+            assert server.served_counts == {}
+
 
 def open_gates(algorithm: str) -> dict:
     """A schedule under which the sub-fedavg algorithms prune in their first
@@ -617,7 +658,7 @@ class TestLabelBlockScoring:
     def test_accuracies_are_per_block_sums(self, algorithm, workers):
         server, clients = build_population(algorithm=algorithm, seed=3, **open_gates(algorithm))
         record = run_round(server, clients, algorithm, epochs=2, batch_size=10,
-                           parallelism=workers).to_json_dict()
+                           parallelism=workers)
         for c in record["clients"]:
             client = clients[c["id"]]
             local = block_score(server.spec, client.params, client.eval_blocks)
@@ -649,7 +690,7 @@ class TestLabelBlockScoring:
         monkeypatch.setattr(federation, "evaluate_accuracy", counting)
         for name in ("aggregate_fedavg", "aggregate_sub_fedavg"):
             monkeypatch.setattr(federation, name, flagging(getattr(federation, name)))
-        record = run_round(server, clients, algorithm, epochs=2, batch_size=10).to_json_dict()
+        record = run_round(server, clients, algorithm, epochs=2, batch_size=10)
 
         pairs = {(clients[cid].mask.flat.tobytes(), label)
                  for cid in record["selected"] for label in clients[cid].eval_blocks}

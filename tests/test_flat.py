@@ -19,7 +19,6 @@ from subfed.federation import (
 )
 from subfed.pruning import (
     MaskCongruenceError,
-    SparsityMask,
     apply_mask,
     combine_masks,
     derive_channel_mask,
@@ -138,16 +137,6 @@ class TestMaskVector:
             assert np.array_equal(mask.flat[params.layout.slots[key]], expected.ravel()), key
         for key, bits in mask.bits.items():
             assert np.shares_memory(bits, mask.flat), key
-
-    @pytest.mark.parametrize("kind", MASK_KINDS)
-    def test_a_mask_built_from_its_dict_is_the_same_vector(self, kind):
-        _, params, mask = make_case(kind, np.float32, 4)
-        rebuilt = SparsityMask(mask.bits, mask.covered, mask.channel_keep)
-        assert rebuilt.layout == mask.layout
-        assert np.array_equal(rebuilt.flat, mask.flat)
-        kept = sum(int(np.count_nonzero(reference_keep(mask, k, v.shape)))
-                   for k, v in params.items())
-        assert retained_scalar_count(params, rebuilt) == kept
 
     def test_incongruent_params_rejected(self):
         _, params, mask = make_case("synth-cnn-un", np.float32, 5)
