@@ -12,7 +12,6 @@ from .federation import (
     sample_clients,
 )
 from .pruning import (
-    PruneSchedule,
     SparsityMask,
     apply_mask,
     derive_channel_mask,
@@ -27,7 +26,6 @@ __all__ = [
     "ModelSpec",
     "OptimizerState",
     "ParamSet",
-    "PruneSchedule",
     "ServerState",
     "SparsityMask",
     "aggregate_fedavg",

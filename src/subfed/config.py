@@ -83,6 +83,14 @@ class ExperimentConfig:
         root = self.data_root or os.environ.get(DATA_ROOT_ENV, "")
         return Path(root) if root else None
 
+    def resolved_parallelism(self) -> int:
+        """Worker count: `parallelism`, or for 0 every CPU this process may
+        run on."""
+        if self.parallelism:
+            return self.parallelism
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     def validation_size(self, examples: int) -> int:
         """How many of a client's `examples` it holds out as its validation split."""

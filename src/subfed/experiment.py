@@ -41,21 +41,11 @@ from .federation import (
     shared_accuracies,
 )
 from .metrics import BITS_PER_MASK_POSITION, BITS_PER_SCALAR, conv_flops
-from .pruning import PruneSchedule, apply_mask
+from .pruning import apply_mask
 
 # keys that affect execution but not results; left out of provenance echoes so
 # identical experiments produce byte-identical summaries
 _EXECUTION_KEYS = ("parallelism", "output_dir")
-
-
-def resolve_parallelism(parallelism: int) -> int:
-    """Worker count for a configured `parallelism`; 0 means every CPU this
-    process may run on."""
-    if parallelism:
-        return parallelism
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def provenance_dict(cfg: ExperimentConfig) -> dict:
@@ -114,24 +104,6 @@ def load_datasets(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
     return normalize(train, mean, std), normalize(test, mean, std)
 
 
-def make_schedule(cfg: ExperimentConfig) -> PruneSchedule:
-    if cfg.algorithm == "sub-fedavg-un":
-        targets = (cfg.target_unstructured, 0.0)
-    elif cfg.algorithm == "sub-fedavg-hy":
-        targets = (cfg.target_unstructured, cfg.target_structured)
-    else:
-        targets = (0.0, 0.0)  # fedavg / standalone never prune
-    return PruneSchedule(
-        rate_unstructured=cfg.rate_unstructured,
-        rate_structured=cfg.rate_structured,
-        target_unstructured=targets[0],
-        target_structured=targets[1],
-        acc_threshold=cfg.acc_threshold,
-        eps_unstructured=cfg.eps_unstructured,
-        eps_structured=cfg.eps_structured,
-    )
-
-
 def build_experiment(cfg: ExperimentConfig):
     """Wire config -> (server, clients dict); deterministic in cfg.seed.
     Each client holds the test set's blocks of its labels (`label_blocks`),
@@ -150,7 +122,6 @@ def build_experiment(cfg: ExperimentConfig):
         train, cfg.clients, cfg.shards_per_client, cfg.resolved_shard_size(), cfg.seed
     )
     theta0 = init_params(spec, cfg.seed)
-    schedule = make_schedule(cfg)
     clients: dict[int, ClientState] = {}
     for cid, indices in partition.assignment.items():
         rng = np.random.default_rng((cfg.seed, 31, cid))
@@ -160,23 +131,13 @@ def build_experiment(cfg: ExperimentConfig):
         train_idx = indices[perm[n_val:]]
         clients[cid] = make_client(
             cid,
-            spec,
+            cfg,
             theta0,
             train.images[train_idx], train.labels[train_idx],
             train.images[val_idx], train.labels[val_idx],
             {c: blocks[c] for c in partition.client_labels[cid]},
-            schedule,
-            cfg.learning_rate,
-            cfg.momentum,
-            hybrid=(cfg.algorithm == "sub-fedavg-hy"),
         )
-    server = ServerState(
-        spec=spec,
-        params=theta0.copy(),
-        client_ids=tuple(sorted(clients)),
-        sampling_rate=cfg.sampling_rate,
-        seed=cfg.seed,
-    )
+    server = ServerState(spec=spec, params=theta0.copy(), client_ids=tuple(sorted(clients)))
     return server, clients
 
 
@@ -282,18 +243,11 @@ def write_round_artifacts(run_dir: Path, cfg: ExperimentConfig, records: list[di
 
 def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     server, clients = build_experiment(cfg)
-    parallelism = resolve_parallelism(cfg.parallelism)
     records: list[dict] = []
     with open(tmp / "rounds.ndjson", "w") as stream:
         stream.write(json.dumps({"config": provenance_dict(cfg)}, sort_keys=True) + "\n")
         for _ in range(cfg.rounds):
-            record = run_round(
-                server, clients, cfg.algorithm,
-                epochs=cfg.local_epochs,
-                batch_size=cfg.batch_size,
-                parallelism=parallelism,
-                aggregation_mode=cfg.aggregation,
-            )
+            record = run_round(server, clients, cfg)
             records.append(record)
             stream.write(json.dumps(record, sort_keys=True) + "\n")
             if progress is not None:
@@ -308,6 +262,7 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     # since an earlier one has changed the global params. The server's
     # (mask, label) counts were taken under the global params as they are
     # now, so the clients that missed the final round reuse them.
+    parallelism = cfg.resolved_parallelism()
     latest = {c["id"]: c for record in records for c in record["clients"]}
     local = {cid: c["local_accuracy"] for cid, c in latest.items()}
     unsampled = [cid for cid in sorted(clients) if cid not in latest]
@@ -330,8 +285,8 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
             client.mask.sparsity(),
             client.mask.covered_sparsity(),
             client.mask.channel_sparsity(),
-            client.schedule.level_unstructured,
-            client.schedule.level_structured,
+            client.level_unstructured,
+            client.level_structured,
         )
         for cid, client in sorted(clients.items())
     ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ALGORITHM_CHOICES
+from .config import ExperimentConfig
 from .engine import (
     ModelSpec,
     OptimizerState,
@@ -27,9 +27,7 @@ from .engine import (
 from .metrics import BITS_PER_MASK_POSITION, BITS_PER_SCALAR, conv_flops
 from .pruning import (
     MaskCongruenceError,
-    PruneSchedule,
     SparsityMask,
-    advance_schedule,
     apply_mask,
     channel_component,
     combine_masks,
@@ -39,6 +37,7 @@ from .pruning import (
     fc_coverage,
     full_coverage,
     mask_distance,
+    next_level,
     should_prune,
     unstructured_component,
 )
@@ -54,8 +53,10 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class ClientState:
+    """A client's data and its personal subnetwork: params, mask and the
+    cumulative sparsity each kind of pruning has reached."""
+
     client_id: int
-    spec: ModelSpec
     x_train: np.ndarray
     y_train: np.ndarray
     x_val: np.ndarray
@@ -63,8 +64,8 @@ class ClientState:
     eval_blocks: dict[int, tuple[np.ndarray, np.ndarray]]  # label -> (x, y), shared
     params: ParamSet
     mask: SparsityMask
-    schedule: PruneSchedule
-    optimizer: OptimizerState  # lr and momentum; each client_update starts a fresh velocity
+    level_unstructured: float = 0.0
+    level_structured: float = 0.0
 
 
 @dataclass
@@ -72,8 +73,6 @@ class ServerState:
     spec: ModelSpec
     params: ParamSet
     client_ids: tuple[int, ...]
-    sampling_rate: float = 1.0
-    seed: int = 0
     round_index: int = 0
     # the served phase's correct count per (mask bits, label) under `params`;
     # a round that aggregates new params starts a fresh one
@@ -115,30 +114,26 @@ class ClientUpdateResult:
 
 def make_client(
     client_id: int,
-    spec: ModelSpec,
+    cfg: ExperimentConfig,
     theta0: ParamSet,
     x_train, y_train, x_val, y_val,
     eval_blocks: dict[int, tuple[np.ndarray, np.ndarray]],
-    schedule: PruneSchedule,
-    learning_rate: float,
-    momentum: float,
-    hybrid: bool = False,
 ) -> ClientState:
+    """A client holding a copy of `theta0` under a dense mask over the domain
+    `cfg.algorithm` prunes: the channels and fc layers for sub-fedavg-hy,
+    every weight and bias otherwise."""
     params = theta0.copy()
-    if hybrid:
+    if cfg.algorithm == "sub-fedavg-hy":
         mask = dense_mask(params, fc_coverage(params), with_channels=True)
     else:
         mask = dense_mask(params, full_coverage(params))
     return ClientState(
         client_id=client_id,
-        spec=spec,
         x_train=x_train, y_train=y_train,
         x_val=x_val, y_val=y_val,
         eval_blocks=eval_blocks,
         params=params,
         mask=mask,
-        schedule=schedule,
-        optimizer=OptimizerState(learning_rate, momentum),
     )
 
 
@@ -163,7 +158,7 @@ def block_accuracy(evaluate, spec: ModelSpec, params: ParamSet, blocks: dict) ->
 
 
 def shared_accuracies(evaluate, spec: ModelSpec, clients: list[ClientState], key_of,
-                      model_of, parallelism: int = 1, counts: dict | None = None) -> list[float]:
+                      model_of, parallelism: int, counts: dict | None = None) -> list[float]:
     """Each client's `block_accuracy` under the model `model_of(client)`.
     Clients with equal `key_of(client)` share one model, made once, and each
     distinct (key, label) pair is scored once through `evaluate`, the pairs
@@ -189,7 +184,7 @@ def shared_accuracies(evaluate, spec: ModelSpec, clients: list[ClientState], key
 
 
 def served_accuracies(evaluate, mask_op, spec: ModelSpec, params: ParamSet,
-                      clients: list[ClientState], parallelism: int = 1,
+                      clients: list[ClientState], parallelism: int,
                       counts: dict | None = None) -> list[float]:
     """Each client's `block_accuracy` under `params` through its own mask:
     `shared_accuracies` keyed by the mask's bits, so clients whose masks are
@@ -213,90 +208,91 @@ def sample_size(n: int, sampling_rate: float) -> int:
     return min(n, max(1, round(sampling_rate * n)))
 
 
-def sample_clients(server: ServerState, round_index: int) -> list[int]:
+def sample_clients(server: ServerState, cfg: ExperimentConfig) -> list[int]:
     """Uniform sample without replacement of `sample_size` client ids;
     deterministic in (seed, round)."""
     n = len(server.client_ids)
     if n == 0:
         raise ValueError("client registry is empty")
-    m = sample_size(n, server.sampling_rate)
-    rng = np.random.default_rng((server.seed, 9173, round_index))
+    m = sample_size(n, cfg.sampling_rate)
+    rng = np.random.default_rng((cfg.seed, 9173, server.round_index))
     picks = rng.choice(n, size=m, replace=False)
     return sorted(server.client_ids[i] for i in picks)
 
 
-def _candidates(params: ParamSet, client: ClientState):
-    sched = client.schedule
-    frac_us = sched.next_fraction("unstructured")
-    un = derive_unstructured_mask(params, frac_us, client.mask.covered)
-    if client.mask.channel_keep is None:
-        return un, None
-    return un, derive_channel_mask(params, sched.next_fraction("structured"))
-
-
 def client_update(
     client: ClientState,
-    theta_g: ParamSet,
-    epochs: int,
-    batch_size: int,
+    server: ServerState,
+    cfg: ExperimentConfig,
     *,
     rng: np.random.Generator,
-    round_index: int = 0,
-    exchange: bool = True,
 ) -> ClientUpdateResult:
-    """One local round: adopt the downloaded params through the client's own
-    mask, train `epochs` epochs of masked SGD, derive candidate masks after the
-    first and last epoch, and prune when the accuracy/target/drift gates pass.
-    A client whose mask keeps channel sets (`make_client(hybrid=True)`) also
-    prunes channels.
+    """One local round: adopt the server's params through the client's own
+    mask (a standalone client keeps its own params), then train
+    `cfg.local_epochs` epochs of masked SGD. The sub-fedavg algorithms
+    derive candidate masks after the first and last epoch and prune when the
+    accuracy/target/drift gates pass: sub-fedavg-un over the client's
+    covered positions, sub-fedavg-hy also its channels. fedavg and
+    standalone derive no candidates and record drifts of 0.
 
-    Mutates the ClientState (params, mask, schedule) and returns the
-    result the client would upload.
+    Mutates the ClientState (params, mask, levels) and returns the result
+    the client would upload.
     """
-    if epochs < 2:
-        raise ValueError("client updates need epochs >= 2 (distinct first/last epoch)")
-    spec = client.spec
-    hybrid = client.mask.channel_keep is not None
+    spec = server.spec
+    exchange = cfg.algorithm != "standalone"
+    hybrid = cfg.algorithm == "sub-fedavg-hy"
+    prunes = hybrid or cfg.algorithm == "sub-fedavg-un"
+    next_us = next_level(client.level_unstructured, cfg.rate_unstructured,
+                         cfg.target_unstructured)
+    next_s = next_level(client.level_structured, cfg.rate_structured, cfg.target_structured)
     downlink_bits = (
-        BITS_PER_SCALAR * retained_scalar_count(theta_g, client.mask) if exchange else 0
+        BITS_PER_SCALAR * retained_scalar_count(server.params, client.mask) if exchange else 0
     )
-    start = theta_g if exchange else client.params
-    params = apply_mask(start, client.mask)
+    params = apply_mask(server.params if exchange else client.params, client.mask)
 
-    opt = OptimizerState(client.optimizer.learning_rate, client.optimizer.momentum)
+    opt = OptimizerState(cfg.learning_rate, cfg.momentum)
+    epochs = cfg.local_epochs
     n = len(client.x_train)
-    first = last = None
+    candidates = []  # (unstructured, channel or None) after the first and last epoch
     for epoch in range(epochs):
         order = rng.permutation(n)
-        for s in range(0, n, batch_size):
-            idx = order[s:s + batch_size]
+        for s in range(0, n, cfg.batch_size):
+            idx = order[s:s + cfg.batch_size]
             _, cache = forward(spec, params, client.x_train[idx], "train")
             loss, grads = backward(cache, client.y_train[idx])
             if not math.isfinite(loss):
-                raise TrainingDivergedError(client.client_id, round_index)
+                raise TrainingDivergedError(client.client_id, server.round_index)
             sgd_step(params, grads, opt, client.mask)
-        if epoch == 0:
-            first = _candidates(params, client)
-        if epoch == epochs - 1:
-            last = _candidates(params, client)
+        if prunes and epoch in (0, epochs - 1):
+            candidates.append((
+                derive_unstructured_mask(params, next_us, client.mask.covered),
+                derive_channel_mask(params, next_s) if hybrid else None,
+            ))
 
     val_acc = evaluate_accuracy(spec, params, client.x_val, client.y_val)
-    delta_us = mask_distance(first[0], last[0])
-    delta_s = mask_distance(first[1], last[1]) if hybrid else 0.0
-    pruned_us = should_prune(val_acc, client.schedule, delta_us, "unstructured")
-    pruned_s = hybrid and should_prune(val_acc, client.schedule, delta_s, "structured")
+    delta_us = delta_s = 0.0
+    pruned_us = pruned_s = False
+    if prunes:
+        (first_us, first_s), (last_us, last_s) = candidates
+        delta_us = mask_distance(first_us, last_us)
+        pruned_us = should_prune(val_acc, cfg.acc_threshold, client.level_unstructured,
+                                 cfg.target_unstructured, delta_us, cfg.eps_unstructured)
+        if hybrid:
+            delta_s = mask_distance(first_s, last_s)
+            pruned_s = should_prune(val_acc, cfg.acc_threshold, client.level_structured,
+                                    cfg.target_structured, delta_s, cfg.eps_structured)
 
     if pruned_us or pruned_s:
         if hybrid:
-            ch_part = last[1] if pruned_s else channel_component(client.mask, params)
-            fc_part = last[0] if pruned_us else unstructured_component(client.mask, params)
+            ch_part = last_s if pruned_s else channel_component(client.mask, params)
+            fc_part = last_us if pruned_us else unstructured_component(client.mask, params)
             client.mask = combine_masks(ch_part, fc_part, params)
         else:
-            client.mask = last[0]
+            client.mask = last_us
         if pruned_s:
-            client.schedule = advance_schedule(client.schedule, "structured")
+            client.level_structured = next_s
         if pruned_us:
-            client.schedule = advance_schedule(client.schedule, "unstructured")
+            client.level_unstructured = next_us
         params = apply_mask(params, client.mask)
 
     local_acc = block_accuracy(evaluate_accuracy, spec, params, client.eval_blocks)
@@ -380,7 +376,7 @@ def aggregate_fedavg(results) -> ParamSet:
 # ---------------------------------------------------------------------------
 
 
-def map_clients(fn, items, parallelism: int = 1) -> list:
+def map_clients(fn, items, parallelism: int) -> list:
     """`[fn(i) for i in items]`, on `parallelism` threads when that is more
     than one and there is more than one item. Results come back in input
     order, and an exception raised by `fn` propagates either way."""
@@ -396,47 +392,36 @@ def client_mean(clients: list[dict], key: str) -> float:
     return float(np.mean([c[key] for c in clients]))
 
 
-def run_round(
-    server: ServerState,
-    clients: dict[int, ClientState],
-    algorithm: str,
-    *,
-    epochs: int = 5,
-    batch_size: int = 10,
-    parallelism: int = 1,
-    aggregation_mode: str = "per-position",
-) -> dict:
-    """sample -> local updates -> aggregate -> served evaluation; returns the
-    round record (one line of rounds.ndjson): the client entries, with their
-    means and totals.
+def run_round(server: ServerState, clients: dict[int, ClientState],
+              cfg: ExperimentConfig) -> dict:
+    """sample -> local updates -> aggregate -> served evaluation under
+    `cfg.algorithm`; returns the round record (one line of rounds.ndjson):
+    the client entries, with their means and totals.
 
-    The local updates and the served evaluations run on `parallelism`
-    workers. Concurrent and serial execution produce identical records: every
-    client update only touches its own state, and results fold in client-id
-    order. Clients with bit-equal masks share their served model's scores
-    (`served_accuracies`), and the counts stay on the server
-    (`ServerState.served_counts`) until the next aggregation.
+    The local updates and the served evaluations run on
+    `cfg.resolved_parallelism()` workers. Concurrent and serial execution
+    produce identical records: every client update only touches its own
+    state, and results fold in client-id order. Clients with bit-equal masks
+    share their served model's scores (`served_accuracies`), and the counts
+    stay on the server (`ServerState.served_counts`) until the next
+    aggregation.
     """
-    if algorithm not in ALGORITHM_CHOICES:
-        raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHM_CHOICES}")
     round_index = server.round_index
-    selected = sample_clients(server, round_index)
-    exchange = algorithm != "standalone"
+    selected = sample_clients(server, cfg)
+    parallelism = cfg.resolved_parallelism()
+    exchange = cfg.algorithm != "standalone"
 
     def work(cid: int) -> ClientUpdateResult:
-        rng = np.random.default_rng((server.seed, round_index, cid))
-        return client_update(
-            clients[cid], server.params, epochs, batch_size,
-            rng=rng, round_index=round_index, exchange=exchange,
-        )
+        rng = np.random.default_rng((cfg.seed, round_index, cid))
+        return client_update(clients[cid], server, cfg, rng=rng)
 
     results = map_clients(work, selected, parallelism)
 
     if exchange:
-        if algorithm == "fedavg":
+        if cfg.algorithm == "fedavg":
             server.params = aggregate_fedavg(results)
         else:
-            server.params = aggregate_sub_fedavg(results, server.params, mode=aggregation_mode)
+            server.params = aggregate_sub_fedavg(results, server.params, mode=cfg.aggregation)
         server.served_counts = {}
         served = served_accuracies(
             evaluate_accuracy, apply_mask, server.spec, server.params,
@@ -449,7 +434,7 @@ def run_round(
     rows = [{**r.to_json_dict(), "served_accuracy": acc} for r, acc in zip(results, served)]
     return {
         "round": round_index,
-        "algorithm": algorithm,
+        "algorithm": cfg.algorithm,
         "selected": selected,
         "mean_local_accuracy": client_mean(rows, "local_accuracy"),
         "mean_served_accuracy": client_mean(rows, "served_accuracy"),

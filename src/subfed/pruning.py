@@ -1,4 +1,4 @@
-"""Subnetwork masks: magnitude pruning, BN-scale channel pruning, schedules.
+"""Subnetwork masks: magnitude pruning, BN-scale channel pruning, the prune gate.
 
 A SparsityMask is one bool vector laid out like its params (`engine.Layout`):
 the bitmap at each learnable position, the owning channel's keep bit (or 1)
@@ -10,7 +10,6 @@ parameters and running statistics, and the next conv layer's input slices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
@@ -276,62 +275,17 @@ def apply_mask(params: ParamSet, mask: SparsityMask) -> ParamSet:
 
 
 # ---------------------------------------------------------------------------
-# Pruning schedule
+# Prune gate
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PruneSchedule:
-    rate_unstructured: float = 10.0
-    rate_structured: float = 10.0
-    target_unstructured: float = 30.0
-    target_structured: float = 0.0
-    acc_threshold: float = 50.0
-    eps_unstructured: float = 1e-4
-    eps_structured: float = 0.05
-    level_unstructured: float = 0.0
-    level_structured: float = 0.0
-
-    def __post_init__(self):
-        for kind in ("unstructured", "structured"):
-            target = getattr(self, f"target_{kind}")
-            level = getattr(self, f"level_{kind}")
-            if not 0 <= target < 100:
-                raise ValueError(f"target_{kind} must lie in [0, 100), got {target}")
-            if not 0 <= level <= target:
-                raise ValueError(f"level_{kind}={level} outside [0, target={target}]")
-            if getattr(self, f"rate_{kind}") < 0:
-                raise ValueError(f"rate_{kind} must be non-negative")
-            if getattr(self, f"eps_{kind}") < 0:
-                raise ValueError(f"eps_{kind} must be non-negative")
-
-    def level(self, kind: str) -> float:
-        return getattr(self, f"level_{kind}")
-
-    def target(self, kind: str) -> float:
-        return getattr(self, f"target_{kind}")
-
-    def rate(self, kind: str) -> float:
-        return getattr(self, f"rate_{kind}")
-
-    def eps(self, kind: str) -> float:
-        return getattr(self, f"eps_{kind}")
-
-    def next_fraction(self, kind: str) -> float:
-        """The cumulative sparsity a prune event would move to (capped at target)."""
-        return min(self.level(kind) + self.rate(kind), self.target(kind))
+def next_level(level: float, rate: float, target: float) -> float:
+    """The cumulative sparsity a prune event moves a level to: one rate step,
+    capped at the target."""
+    return min(level + rate, target)
 
 
-def should_prune(accuracy: float, schedule: PruneSchedule, delta: float, kind: str) -> bool:
+def should_prune(accuracy: float, acc_threshold: float, level: float, target: float,
+                 delta: float, eps: float) -> bool:
     """Alg. gate: validation accuracy, target not reached, and mask drift >= eps."""
-    if kind not in ("unstructured", "structured"):
-        raise ValueError(f"kind must be 'unstructured' or 'structured', got {kind!r}")
-    return (
-        accuracy >= schedule.acc_threshold
-        and schedule.level(kind) < schedule.target(kind)
-        and delta >= schedule.eps(kind)
-    )
-
-
-def advance_schedule(schedule: PruneSchedule, kind: str) -> PruneSchedule:
-    return replace(schedule, **{f"level_{kind}": schedule.next_fraction(kind)})
+    return accuracy >= acc_threshold and level < target and delta >= eps

@@ -938,3 +938,46 @@ class TestTruncatedBackward:
         loss, grads = backward(cache, np.arange(5) % 3)
         assert math.isfinite(loss)
         assert list(grads.keys()) == []
+
+
+def forward_gemm_shapes():
+    """(model, layer, K, N) of every forward GEMM `A @ W.T` of the built-in
+    models: a conv's im2col columns times its filters, a dense layer's input
+    times its weights. 13 shapes."""
+    shapes = []
+    for name in ("cnn5-mnist", "lenet5-cifar", "synth-cnn"):
+        for i, desc in enumerate(builtin_spec(name).layers):
+            if isinstance(desc, Conv):
+                shapes.append((name, i, desc.in_channels * desc.kernel ** 2, desc.out_channels))
+            elif isinstance(desc, Dense):
+                shapes.append((name, i, desc.in_features, desc.out_features))
+    return shapes
+
+
+class TestBlasPathRule:
+    """Which rows of a forward GEMM keep their bits when the call's row count
+    changes. OpenBLAS picks its kernel by M·N, the call's rows times outputs;
+    at M·N >= 1280 every row of an M-row call equals the same row of a
+    256-row call bit for bit. Below that the rule promises nothing: some
+    shapes keep their bits, others lose them in every row. Measured on numpy
+    2.4.6 with scipy-openblas 0.3.31, one BLAS thread; a BLAS that rounds
+    otherwise fails here rather than as an unexplained change of results."""
+
+    BOUND = 1280
+
+    @pytest.mark.parametrize("model, layer, k, n", forward_gemm_shapes())
+    def test_rows_keep_their_bits_at_or_above_the_bound(self, model, layer, k, n):
+        rng = np.random.default_rng((layer, k, n))
+        a = rng.standard_normal((256, k)).astype(np.float32)
+        w = rng.standard_normal((n, k)).astype(np.float32)
+        full = a @ w.T
+        changed = [m for m in range(math.ceil(self.BOUND / n), 256)
+                   if not same_bits(a[:m] @ w.T, full[:m])]
+        assert changed == []
+
+    def test_a_head_below_the_bound_changes_bits(self):
+        # an N=10 head at K=50 (cnn5-mnist fc2): 100 rows make M·N = 1000
+        rng = np.random.default_rng(50)
+        a = rng.standard_normal((256, 50)).astype(np.float32)
+        w = rng.standard_normal((10, 50)).astype(np.float32)
+        assert not same_bits(a[:100] @ w.T, (a @ w.T)[:100])

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from subfed import engine, experiment
-from subfed.config import ALGORITHM_CHOICES, parse_config
+from subfed.config import ALGORITHM_CHOICES, ExperimentConfig, parse_config
 from subfed.data import partition_shards
 from subfed.experiment import (
-    build_experiment, resolve_parallelism, run_experiment, write_round_artifacts,
+    build_experiment, run_experiment, write_round_artifacts,
 )
 from subfed.federation import sample_clients
 from subfed.pruning import apply_mask
@@ -293,11 +293,11 @@ class TestResolveParallelism:
             len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1
         )
-        assert 1 <= resolve_parallelism(0) <= usable
+        assert 1 <= ExperimentConfig(parallelism=0).resolved_parallelism() <= usable
 
     def test_explicit_count_kept(self):
-        assert resolve_parallelism(1) == 1
-        assert resolve_parallelism(3) == 3
+        assert ExperimentConfig(parallelism=1).resolved_parallelism() == 1
+        assert ExperimentConfig(parallelism=3).resolved_parallelism() == 3
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
@@ -310,6 +310,6 @@ def test_perfbench_steps_per_round_counts_the_programs_steps(workload):
     server, clients = build_experiment(cfg)
     steps = sum(
         cfg.local_epochs * math.ceil(len(clients[cid].x_train) / cfg.batch_size)
-        for cid in sample_clients(server, 0)
+        for cid in sample_clients(server, cfg)
     )
     assert steps == workloads.steps_per_round(overrides)

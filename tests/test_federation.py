@@ -10,7 +10,7 @@ import pytest
 import subfed
 from subfed import engine as E
 from subfed import federation
-from subfed.config import ALGORITHM_CHOICES
+from subfed.config import ALGORITHM_CHOICES, ConfigError, ExperimentConfig, parse_config
 from subfed.data import label_blocks, partition_shards, split_per_class, synth_dataset
 from subfed.engine import ModelSpec, ParamSet, builtin_spec, init_params
 from subfed.federation import (
@@ -28,7 +28,6 @@ from subfed.federation import (
 )
 from subfed.metrics import conv_flops
 from subfed.pruning import (
-    PruneSchedule,
     SparsityMask,
     apply_mask,
     combine_masks,
@@ -62,39 +61,44 @@ def result_of(client_id, params, mask):
     )
 
 
-def make_server(n_clients, rate=1.0, seed=0):
+def config(**overrides) -> ExperimentConfig:
+    """A validated config for hand-built clients: two epochs of batch 10 at
+    lr 0.05, every client sampled, and prune targets of 0 unless
+    `overrides` sets them."""
+    base = dict(local_epochs=2, batch_size=10, learning_rate=0.05, sampling_rate=1.0,
+                target_unstructured=0.0, target_structured=0.0)
+    return parse_config(overrides={**base, **overrides})
+
+
+def sample(n_clients, round_index, rate=1.0, seed=0):
     spec = builtin_spec("synth-cnn")
-    return ServerState(
+    server = ServerState(
         spec=spec, params=init_params(spec, seed),
-        client_ids=tuple(range(n_clients)), sampling_rate=rate, seed=seed,
+        client_ids=tuple(range(n_clients)), round_index=round_index,
     )
+    return sample_clients(server, config(sampling_rate=rate, seed=seed))
 
 
 class TestSampling:
     def test_full_rate_selects_everyone(self):
-        server = make_server(7, rate=1.0)
-        assert sample_clients(server, 0) == list(range(7))
+        assert sample(7, 0, rate=1.0) == list(range(7))
 
     def test_hundred_clients_ten_percent(self):
-        server = make_server(100, rate=0.1, seed=5)
-        picks = sample_clients(server, 3)
+        picks = sample(100, 3, rate=0.1, seed=5)
         assert len(picks) == 10
         assert len(set(picks)) == 10
         assert all(0 <= cid < 100 for cid in picks)
 
     def test_deterministic_per_round(self):
-        server = make_server(50, rate=0.2, seed=9)
-        assert sample_clients(server, 4) == sample_clients(server, 4)
-        assert sample_clients(server, 4) != sample_clients(server, 5)
+        assert sample(50, 4, rate=0.2, seed=9) == sample(50, 4, rate=0.2, seed=9)
+        assert sample(50, 4, rate=0.2, seed=9) != sample(50, 5, rate=0.2, seed=9)
 
     def test_at_least_one_client(self):
-        server = make_server(10, rate=0.01)
-        assert len(sample_clients(server, 0)) == 1
+        assert len(sample(10, 0, rate=0.01)) == 1
 
     def test_empty_registry(self):
-        server = make_server(0)
         with pytest.raises(ValueError, match="empty"):
-            sample_clients(server, 0)
+            sample(0, 0)
 
 
 class TestAggregation:
@@ -274,145 +278,133 @@ class TestKeepRule:
             assert np.array_equal(out[key][~pruned], both[~pruned])
 
 
-def synthetic_client(cid=0, seed=0, spec_name="synth-cnn", hybrid=False, **sched_kw):
-    spec = builtin_spec(spec_name)
-    data = synth_dataset(4, 40, 1.0, seed=seed, image_shape=spec.input_shape)
+SPEC = builtin_spec("synth-cnn")
+
+
+def synthetic_client(cfg, cid=0, seed=0):
+    data = synth_dataset(4, 40, 1.0, seed=seed, image_shape=SPEC.input_shape)
     train, test = split_per_class(data, 10)
-    schedule = PruneSchedule(**sched_kw) if sched_kw else PruneSchedule(
-        target_unstructured=0.0, target_structured=0.0
-    )
-    theta0 = init_params(spec, seed)
+    theta0 = init_params(SPEC, seed)
     idx = np.arange(len(train))
     return make_client(
-        cid, spec, theta0,
+        cid, cfg, theta0,
         train.images[idx[:80]], train.labels[idx[:80]],
         train.images[idx[80:]], train.labels[idx[80:]],
         label_blocks(test),
-        schedule, learning_rate=0.05, momentum=0.5, hybrid=hybrid,
     )
+
+
+def update(client, cfg, rng, round_index=0):
+    """`client_update` in round `round_index`, downloading the client's own params."""
+    server = ServerState(spec=SPEC, params=client.params, client_ids=(client.client_id,),
+                         round_index=round_index)
+    return client_update(client, server, cfg, rng=rng)
 
 
 class TestClientUpdate:
     def test_epochs_below_two_rejected(self):
-        client = synthetic_client()
-        with pytest.raises(ValueError, match="epochs"):
-            client_update(
-                client, client.params, 1, 10, rng=np.random.default_rng(0)
-            )
+        # a client update needs a distinct first and last epoch; the config
+        # it reads them from refuses fewer than two
+        with pytest.raises(ConfigError, match="local_epochs"):
+            config(local_epochs=1)
 
     def test_drift_below_eps_means_no_prune(self):
-        client = synthetic_client(
+        cfg = config(
             rate_unstructured=10.0, target_unstructured=50.0,
             eps_unstructured=2.0,  # unreachable: normalized distance <= 1
             acc_threshold=0.0,
         )
+        client = synthetic_client(cfg)
         before = client.mask.copy()
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(1)
-        )
+        res = update(client, cfg, np.random.default_rng(1))
         assert not res.pruned_unstructured
         assert all(
             np.array_equal(before.bits[k], client.mask.bits[k]) for k in before.bits
         )
 
     def test_target_reached_stops_pruning(self):
-        client = synthetic_client(
+        cfg = config(
             rate_unstructured=10.0, target_unstructured=10.0,
-            level_unstructured=10.0, acc_threshold=0.0, eps_unstructured=0.0,
+            acc_threshold=0.0, eps_unstructured=0.0,
         )
+        client = synthetic_client(cfg)
+        client.level_unstructured = 10.0
         zero_sets = []
         for r in range(4):
-            res = client_update(
-                client, client.params, 2, 10,
-                rng=np.random.default_rng((2, r)), round_index=r,
-            )
+            res = update(client, cfg, np.random.default_rng((2, r)), round_index=r)
             assert not res.pruned_unstructured
             zero_sets.append(client.mask.zero_count())
         assert len(set(zero_sets)) == 1
 
     def test_prune_event_hits_scheduled_fraction(self):
-        client = synthetic_client(
+        cfg = config(
             rate_unstructured=5.0, target_unstructured=50.0,
             acc_threshold=0.0, eps_unstructured=0.0,
         )
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(3)
-        )
+        client = synthetic_client(cfg)
+        res = update(client, cfg, np.random.default_rng(3))
         assert res.pruned_unstructured
         governed = sum(client.mask.bits[k].size for k in client.mask.covered)
         assert client.mask.zero_count() == int(0.05 * governed)
-        assert client.schedule.level_unstructured == 5.0
+        assert client.level_unstructured == 5.0
         # params respect the mask exactly
         for key in client.mask.covered:
             zeros = ~client.mask.bits[key]
             assert np.all(client.params[key][zeros] == 0.0)
 
     def test_accuracy_gate_blocks(self):
-        client = synthetic_client(
+        cfg = config(
             rate_unstructured=5.0, target_unstructured=50.0,
             acc_threshold=101.0, eps_unstructured=0.0,
         )
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(4)
-        )
+        client = synthetic_client(cfg)
+        res = update(client, cfg, np.random.default_rng(4))
         assert not res.pruned_unstructured
         assert client.mask.zero_count() == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic is the point
     def test_divergence_raises_with_context(self):
-        client = synthetic_client()
-        client.optimizer.learning_rate = 1e30
+        cfg = config()
+        client = synthetic_client(cfg)
+        client.x_train[0] = np.inf  # the client's own copy of its examples
         with pytest.raises(TrainingDivergedError) as err:
-            client_update(
-                client, client.params, 2, 10,
-                rng=np.random.default_rng(5), round_index=7,
-            )
+            update(client, cfg, np.random.default_rng(5), round_index=7)
         assert err.value.client_id == 0
         assert err.value.round_index == 7
 
     def test_uplink_accounting_dense(self):
-        client = synthetic_client()
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(6)
-        )
+        cfg = config()
+        client = synthetic_client(cfg)
+        res = update(client, cfg, np.random.default_rng(6))
         total = client.params.flat.size
         assert res.uplink_bits == 32 * total
         assert res.downlink_bits == 32 * total
 
+    OPEN = dict(rate_unstructured=10.0, target_unstructured=50.0,
+                acc_threshold=0.0, eps_unstructured=0.0)
+
     def test_uplink_adds_mask_bits_on_prune(self):
-        client = synthetic_client(
-            rate_unstructured=10.0, target_unstructured=50.0,
-            acc_threshold=0.0, eps_unstructured=0.0,
-        )
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(7)
-        )
+        cfg = config(**self.OPEN)
+        client = synthetic_client(cfg)
+        res = update(client, cfg, np.random.default_rng(7))
         assert res.pruned_unstructured
         retained = retained_scalar_count(client.params, client.mask)
         assert res.uplink_bits == 32 * retained + client.mask.bit_length()
 
     def test_uplink_mask_bits_use_the_declared_width(self, monkeypatch):
         monkeypatch.setattr(federation, "BITS_PER_MASK_POSITION", 2)
-        client = synthetic_client(
-            rate_unstructured=10.0, target_unstructured=50.0,
-            acc_threshold=0.0, eps_unstructured=0.0,
-        )
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(7)
-        )
+        cfg = config(**self.OPEN)
+        client = synthetic_client(cfg)
+        res = update(client, cfg, np.random.default_rng(7))
         assert res.pruned_unstructured
         retained = retained_scalar_count(client.params, client.mask)
         assert res.uplink_bits == 32 * retained + 2 * client.mask.bit_length()
 
     def test_uplink_beats_dense_beyond_break_even(self):
         # mask overhead is 1 bit/position, so savings start past 1/32 sparsity
-        client = synthetic_client(
-            rate_unstructured=10.0, target_unstructured=50.0,
-            acc_threshold=0.0, eps_unstructured=0.0,
-        )
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(12)
-        )
+        cfg = config(**self.OPEN)
+        client = synthetic_client(cfg)
+        res = update(client, cfg, np.random.default_rng(12))
         assert res.pruned_unstructured
         assert client.mask.sparsity() > 1 / 32
         dense_bits = 32 * client.params.flat.size
@@ -420,47 +412,39 @@ class TestClientUpdate:
 
 
 class TestHybridUpdate:
-    def hybrid_client(self, **kw):
+    def hybrid_update(self, seed, **kw):
+        """A fresh sub-fedavg-hy client after one update; the client and its result."""
         base = dict(
-            rate_unstructured=10.0, rate_structured=20.0,
+            algorithm="sub-fedavg-hy", rate_unstructured=10.0, rate_structured=20.0,
             target_unstructured=50.0, target_structured=50.0,
             acc_threshold=0.0, eps_unstructured=0.0, eps_structured=0.0,
         )
-        base.update(kw)
-        return synthetic_client(hybrid=True, **base)
+        cfg = config(**{**base, **kw})
+        client = synthetic_client(cfg)
+        return client, update(client, cfg, np.random.default_rng(seed))
 
     def test_both_kinds_fire_and_compose(self):
-        client = self.hybrid_client()
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(8)
-        )
+        client, res = self.hybrid_update(8)
         assert res.pruned_unstructured and res.pruned_structured
-        assert client.schedule.level_unstructured == 10.0
-        assert client.schedule.level_structured == 20.0
+        assert client.level_unstructured == 10.0
+        assert client.level_structured == 20.0
         assert client.mask.channel_sparsity() > 0.0
         assert client.mask.covered_sparsity() > 0.0
         assert all(layer.startswith("fc") for layer, _ in client.mask.covered)
 
     def test_only_structured_fires(self):
-        client = self.hybrid_client(eps_unstructured=2.0)  # blocks unstructured
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(9)
-        )
+        client, res = self.hybrid_update(9, eps_unstructured=2.0)  # blocks unstructured
         assert res.pruned_structured and not res.pruned_unstructured
         assert client.mask.channel_sparsity() > 0.0
         assert client.mask.covered_sparsity() == 0.0
 
     def test_neither_fires_leaves_mask(self):
-        client = self.hybrid_client(eps_unstructured=2.0, eps_structured=2.0)
-        res = client_update(
-            client, client.params, 2, 10, rng=np.random.default_rng(10)
-        )
+        client, res = self.hybrid_update(10, eps_unstructured=2.0, eps_structured=2.0)
         assert not res.pruned_structured and not res.pruned_unstructured
         assert client.mask.zero_count() == 0
 
     def test_union_of_zero_sets_when_both_fire(self):
-        client = self.hybrid_client()
-        client_update(client, client.params, 2, 10, rng=np.random.default_rng(11))
+        client, _ = self.hybrid_update(11)
         from subfed.pruning import channel_component, unstructured_component
 
         ch = channel_component(client.mask, client.params)
@@ -470,55 +454,53 @@ class TestHybridUpdate:
             assert np.array_equal(~client.mask.bits[key], expected)
 
 
-def build_population(n=4, algorithm="sub-fedavg-un", seed=0, **sched_kw):
-    spec = builtin_spec("synth-cnn")
-    full = synth_dataset(4, 60 * n // 2, 1.2, seed=seed, image_shape=spec.input_shape)
+def build_population(n=4, algorithm="sub-fedavg-un", seed=0, **overrides):
+    """A server and `n` clients on synth-cnn under `config(algorithm=algorithm,
+    seed=seed, **overrides)`, which comes back third."""
+    cfg = config(algorithm=algorithm, seed=seed, **overrides)
+    full = synth_dataset(4, 60 * n // 2, 1.2, seed=seed, image_shape=SPEC.input_shape)
     train, test = split_per_class(full, 20)
     part = partition_shards(train, n, 2, 25, seed)
     blocks = label_blocks(test)
-    theta0 = init_params(spec, seed)
-    defaults = dict(target_unstructured=0.0, target_structured=0.0)
-    defaults.update(sched_kw)
-    schedule = PruneSchedule(**defaults)
+    theta0 = init_params(SPEC, seed)
     clients = {}
     for cid, idx in part.assignment.items():
         clients[cid] = make_client(
-            cid, spec, theta0,
+            cid, cfg, theta0,
             train.images[idx[:40]], train.labels[idx[:40]],
             train.images[idx[40:]], train.labels[idx[40:]],
             {c: blocks[c] for c in part.client_labels[cid]},
-            schedule, 0.05, 0.5, hybrid=(algorithm == "sub-fedavg-hy"),
         )
-    server = ServerState(
-        spec=spec, params=theta0.copy(), client_ids=tuple(range(n)),
-        sampling_rate=1.0, seed=seed,
-    )
-    return server, clients
+    server = ServerState(spec=SPEC, params=theta0.copy(), client_ids=tuple(range(n)))
+    return server, clients, cfg
+
+
+# every prune gate open, so that the sub-fedavg algorithms prune in their first round
+OPEN_GATES = dict(
+    rate_unstructured=20.0, rate_structured=20.0, target_unstructured=40.0,
+    target_structured=40.0, acc_threshold=0.0, eps_unstructured=0.0, eps_structured=0.0,
+)
 
 
 class TestRunRound:
     def test_standalone_keeps_global_and_zero_bytes(self):
-        server, clients = build_population()
+        server, clients, cfg = build_population(algorithm="standalone")
         before = server.params.copy()
-        record = run_round(server, clients, "standalone", epochs=2, batch_size=10)
+        record = run_round(server, clients, cfg)
         assert all(np.array_equal(before[k], server.params[k]) for k in before.keys())
         assert record["total_uplink_bits"] == 0
         assert record["total_downlink_bits"] == 0
         assert all(c["served_accuracy"] == c["local_accuracy"] for c in record["clients"])
 
     def test_fedavg_round_reports_zero_sparsity(self):
-        server, clients = build_population()
-        record = run_round(server, clients, "fedavg", epochs=2, batch_size=10)
+        server, clients, cfg = build_population(algorithm="fedavg")
+        record = run_round(server, clients, cfg)
         assert all(c["sparsity"] == 0.0 for c in record["clients"])
         assert record["mean_sparsity_unstructured"] == 0.0
 
     def test_record_is_client_entries_with_means_and_totals(self):
-        server, clients = build_population(
-            algorithm="sub-fedavg-hy", rate_unstructured=20.0, rate_structured=20.0,
-            target_unstructured=40.0, target_structured=40.0, acc_threshold=0.0,
-            eps_unstructured=0.0, eps_structured=0.0,
-        )
-        record = run_round(server, clients, "sub-fedavg-hy", epochs=2, batch_size=10)
+        server, clients, cfg = build_population(algorithm="sub-fedavg-hy", **OPEN_GATES)
+        record = run_round(server, clients, cfg)
         rows = record["clients"]
         assert [c["id"] for c in rows] == record["selected"] == [0, 1, 2, 3]
         assert all(set(c) == {
@@ -543,10 +525,8 @@ class TestRunRound:
     def test_round_deterministic(self):
         records = []
         for _ in range(2):
-            server, clients = build_population(seed=5)
-            records.append(
-                run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
-            )
+            server, clients, cfg = build_population(seed=5)
+            records.append(run_round(server, clients, cfg))
         assert records[0] == records[1]
 
     def test_parallel_equals_serial(self):
@@ -556,11 +536,8 @@ class TestRunRound:
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 4, 8):
-                server, clients = build_population(seed=6)
-                record = run_round(
-                    server, clients, "sub-fedavg-un", epochs=2, batch_size=10,
-                    parallelism=workers,
-                )
+                server, clients, cfg = build_population(seed=6, parallelism=workers)
+                record = run_round(server, clients, cfg)
                 outputs.append((record, server.params))
         finally:
             sys.setswitchinterval(interval)
@@ -569,15 +546,15 @@ class TestRunRound:
             assert all(np.array_equal(params[k], outputs[0][1][k]) for k in params.keys())
 
     def test_masks_stable_after_target_reached(self):
-        server, clients = build_population(
+        server, clients, cfg = build_population(
             rate_unstructured=25.0, target_unstructured=25.0,
             acc_threshold=0.0, eps_unstructured=0.0,
         )
         for _ in range(3):
-            run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
+            run_round(server, clients, cfg)
         snapshots = {cid: c.mask.copy() for cid, c in clients.items()}
         for _ in range(3):
-            record = run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
+            record = run_round(server, clients, cfg)
             assert not any(c["pruned_unstructured"] for c in record["clients"])
         for cid, client in clients.items():
             assert all(
@@ -586,36 +563,50 @@ class TestRunRound:
             )
 
     def test_download_re_zeroes_client_positions(self):
-        server, clients = build_population(
+        server, clients, cfg = build_population(
             rate_unstructured=30.0, target_unstructured=30.0,
             acc_threshold=0.0, eps_unstructured=0.0,
         )
-        run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
+        run_round(server, clients, cfg)
         # aggregation may resurrect positions globally, but each client's next
         # download re-applies its own mask
-        run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
+        run_round(server, clients, cfg)
         for client in clients.values():
             for key in client.mask.covered:
                 zeros = ~client.mask.bits[key]
                 assert np.all(client.params[key][zeros] == 0.0)
 
     def test_unknown_algorithm(self):
-        server, clients = build_population()
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            run_round(server, clients, "fedprox", epochs=2, batch_size=10)
+        # a round runs the algorithm of its config, which refuses any other
+        with pytest.raises(ConfigError, match="'algorithm'"):
+            config(algorithm="fedprox")
 
-    def test_clients_keep_no_velocity_between_rounds(self):
-        server, clients = build_population()
-        record = run_round(server, clients, "sub-fedavg-un", epochs=2, batch_size=10)
-        assert record["selected"]
-        assert all(clients[cid].optimizer.velocity is None for cid in record["selected"])
+    @pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
+    def test_algorithm_alone_decides_what_is_pruned(self, algorithm):
+        server, clients, cfg = build_population(algorithm=algorithm, **OPEN_GATES)
+        rows = run_round(server, clients, cfg)["clients"]
+        pruned = {(c["pruned_unstructured"], c["pruned_structured"]) for c in rows}
+        if algorithm == "sub-fedavg-hy":
+            assert pruned == {(True, True)}
+            assert all(c["sparsity_unstructured"] > 0.0 and c["sparsity_channel"] > 0.0
+                       for c in rows)
+        elif algorithm == "sub-fedavg-un":
+            assert pruned == {(True, False)}
+            assert all(c["sparsity_unstructured"] > 0.0 and c["sparsity_channel"] == 0.0
+                       for c in rows)
+        else:
+            assert pruned == {(False, False)}
+            assert all(c["delta_unstructured"] == c["delta_structured"] == 0.0 for c in rows)
+            assert all(c["sparsity"] == 0.0 for c in rows)
+            assert all(client.level_unstructured == client.level_structured == 0.0
+                       for client in clients.values())
 
     @pytest.mark.parametrize("algorithm", ["fedavg", "sub-fedavg-un"])
     def test_served_counts_replaced_by_each_aggregation(self, algorithm):
-        server, clients = build_population(algorithm=algorithm, **open_gates(algorithm))
+        server, clients, cfg = build_population(algorithm=algorithm, **OPEN_GATES)
         held = []
         for _ in range(2):
-            record = run_round(server, clients, algorithm, epochs=2, batch_size=10)
+            record = run_round(server, clients, cfg)
             counts = server.served_counts
             assert all(counts is not earlier for earlier in held)
             held.append(counts)
@@ -631,21 +622,10 @@ class TestRunRound:
                                             * len(x) / 100)
 
     def test_standalone_leaves_served_counts_empty(self):
-        server, clients = build_population(algorithm="standalone")
+        server, clients, cfg = build_population(algorithm="standalone")
         for _ in range(2):
-            run_round(server, clients, "standalone", epochs=2, batch_size=10)
+            run_round(server, clients, cfg)
             assert server.served_counts == {}
-
-
-def open_gates(algorithm: str) -> dict:
-    """A schedule under which the sub-fedavg algorithms prune in their first
-    round; the others never prune, as `experiment.make_schedule` has it."""
-    if not algorithm.startswith("sub-fedavg"):
-        return {}
-    return dict(
-        rate_unstructured=20.0, rate_structured=20.0, target_unstructured=40.0,
-        target_structured=40.0, acc_threshold=0.0, eps_unstructured=0.0, eps_structured=0.0,
-    )
 
 
 class TestLabelBlockScoring:
@@ -656,9 +636,9 @@ class TestLabelBlockScoring:
     @pytest.mark.parametrize("algorithm", ALGORITHM_CHOICES)
     @pytest.mark.parametrize("workers", [1, 2])
     def test_accuracies_are_per_block_sums(self, algorithm, workers):
-        server, clients = build_population(algorithm=algorithm, seed=3, **open_gates(algorithm))
-        record = run_round(server, clients, algorithm, epochs=2, batch_size=10,
-                           parallelism=workers)
+        server, clients, cfg = build_population(algorithm=algorithm, seed=3,
+                                                parallelism=workers, **OPEN_GATES)
+        record = run_round(server, clients, cfg)
         for c in record["clients"]:
             client = clients[c["id"]]
             local = block_score(server.spec, client.params, client.eval_blocks)
@@ -670,8 +650,8 @@ class TestLabelBlockScoring:
 
     @pytest.mark.parametrize("algorithm", ["fedavg", "sub-fedavg-un"])
     def test_served_phase_scores_each_mask_label_pair_once(self, monkeypatch, algorithm):
-        server, clients = build_population(n=6, algorithm=algorithm, seed=4,
-                                          **open_gates(algorithm))
+        server, clients, cfg = build_population(n=6, algorithm=algorithm, seed=4,
+                                                **OPEN_GATES)
         served_calls = []
         aggregated = []
         evaluate = federation.evaluate_accuracy
@@ -690,7 +670,7 @@ class TestLabelBlockScoring:
         monkeypatch.setattr(federation, "evaluate_accuracy", counting)
         for name in ("aggregate_fedavg", "aggregate_sub_fedavg"):
             monkeypatch.setattr(federation, name, flagging(getattr(federation, name)))
-        record = run_round(server, clients, algorithm, epochs=2, batch_size=10)
+        record = run_round(server, clients, cfg)
 
         pairs = {(clients[cid].mask.flat.tobytes(), label)
                  for cid in record["selected"] for label in clients[cid].eval_blocks}
@@ -739,12 +719,12 @@ class TestMapClients:
             map_clients(diverge_at_two, range(4), workers)
         assert (err.value.client_id, err.value.round_index) == (2, 5)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf arithmetic is the point
     def test_round_divergence_propagates_from_a_worker(self):
-        server, clients = build_population()
-        clients[2].optimizer.learning_rate = 1e30
+        server, clients, cfg = build_population(algorithm="fedavg", parallelism=2)
+        clients[2].x_train[0] = np.inf  # the client's own copy of its examples
         with pytest.raises(TrainingDivergedError) as err:
-            run_round(server, clients, "fedavg", epochs=2, batch_size=10, parallelism=2)
+            run_round(server, clients, cfg)
         assert err.value.client_id == 2
 
 

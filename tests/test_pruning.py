@@ -9,9 +9,7 @@ from subfed import engine as E
 from subfed.engine import ParamSet, builtin_spec, init_params
 from subfed.pruning import (
     MaskCongruenceError,
-    PruneSchedule,
     SparsityMask,
-    advance_schedule,
     apply_mask,
     combine_masks,
     dense_mask,
@@ -20,6 +18,7 @@ from subfed.pruning import (
     fc_coverage,
     full_coverage,
     mask_distance,
+    next_level,
     should_prune,
 )
 
@@ -307,44 +306,35 @@ class TestApply:
 
 
 class TestScheduleGates:
-    def schedule(self, **kw):
-        base = dict(
-            rate_unstructured=10.0, rate_structured=10.0,
-            target_unstructured=70.0, target_structured=50.0,
-            acc_threshold=50.0, eps_unstructured=1e-4, eps_structured=0.05,
-            level_unstructured=30.0, level_structured=0.0,
-        )
-        base.update(kw)
-        return PruneSchedule(**base)
+    """The gate and the clamp on plain numbers: accuracy threshold 50, targets
+    70 (unstructured) and 50 (structured), rates 10, eps 1e-4 and 0.05, with
+    the unstructured level at 30 unless a case sets it."""
+
+    def gate(self, accuracy, delta, level=30.0, target=70.0, eps=1e-4):
+        return should_prune(accuracy, 50.0, level, target, delta, eps)
 
     def test_low_accuracy_blocks(self):
-        sched = self.schedule()
-        assert not should_prune(49.9, sched, delta=1.0, kind="unstructured")
+        assert not self.gate(49.9, delta=1.0)
 
     def test_target_reached_blocks(self):
-        sched = self.schedule(level_unstructured=70.0)
-        assert not should_prune(99.0, sched, delta=1.0, kind="unstructured")
+        assert not self.gate(99.0, delta=1.0, level=70.0)
 
     def test_all_gates_open(self):
-        sched = self.schedule()
-        assert should_prune(90.0, sched, delta=2e-4, kind="unstructured")
+        assert self.gate(90.0, delta=2e-4)
 
     def test_drift_below_eps_blocks(self):
-        sched = self.schedule()
-        assert not should_prune(90.0, sched, delta=9e-5, kind="unstructured")
+        assert not self.gate(90.0, delta=9e-5)
 
     def test_kinds_gate_independently(self):
-        sched = self.schedule(level_structured=50.0)  # structured target reached
-        assert should_prune(90.0, sched, delta=1.0, kind="unstructured")
-        assert not should_prune(90.0, sched, delta=1.0, kind="structured")
+        # the structured level has reached its target, the unstructured not
+        assert self.gate(90.0, delta=1.0)
+        assert not self.gate(90.0, delta=1.0, level=50.0, target=50.0, eps=0.05)
 
     def test_advance_clamps_at_target(self):
-        sched = self.schedule(level_unstructured=65.0)
-        assert advance_schedule(sched, "unstructured").level_unstructured == 70.0
+        assert next_level(65.0, 10.0, 70.0) == 70.0
 
     def test_advance_plain_step(self):
-        sched = self.schedule(level_unstructured=0.0)
-        assert advance_schedule(sched, "unstructured").level_unstructured == 10.0
+        assert next_level(0.0, 10.0, 70.0) == 10.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -352,17 +342,8 @@ class TestScheduleGates:
         st.integers(1, 40),
     )
     def test_repeated_advances_never_exceed_target(self, rate, target, steps):
-        sched = PruneSchedule(
-            rate_unstructured=rate, target_unstructured=target,
-            target_structured=0.0,
-        )
+        level = 0.0
         for _ in range(steps):
-            assert sched.level_unstructured <= target
-            sched = advance_schedule(sched, "unstructured")
-        assert sched.level_unstructured <= target
-
-    def test_invalid_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            PruneSchedule(target_unstructured=100.0)
-        with pytest.raises(ValueError):
-            PruneSchedule(level_unstructured=5.0, target_unstructured=1.0)
+            assert level <= target
+            level = next_level(level, rate, target)
+        assert level <= target
