@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """sha256 of every byte-identical artifact of the benchmark workloads.
 
-    python3 scripts/artifact_digests.py [--workload NAME ...] [--seed N [N ...] ...]
+    python3 scripts/artifact_digests.py [--workload NAME [NAME ...] ...] [--seed N [N ...] ...]
                                         [--parallelism P] [--set KEY=VALUE ...]
 
 Runs each perfbench workload config (perfbench/workloads.py) for each seed
@@ -60,9 +60,9 @@ DEFAULT_SEEDS = (1, 2, 3)
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
+    # "extend" would add to a list default, so the defaults apply in main
+    ap.add_argument("--workload", nargs="+", action="extend", choices=sorted(workloads.WORKLOADS),
                     help="repeatable; default: every workload")
-    # "extend" would add to a list default, so the default applies in main
     ap.add_argument("--seed", type=int, nargs="+", action="extend",
                     help=f"repeatable; default: {' '.join(map(str, DEFAULT_SEEDS))}")
     ap.add_argument("--parallelism", type=int,

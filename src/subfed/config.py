@@ -164,6 +164,23 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"key 'algorithm': sub-fedavg-hy needs a model with BN conv layers, "
             f"and {spec.name!r} has none"
         )
+    if cfg.dataset == "synthetic":  # the split sizes of a file dataset show when it is read
+        train = cfg.synth_per_class - cfg.synth_test_per_class  # per class
+        if train < 1:
+            reject(
+                f"keys 'synth_per_class'/'synth_test_per_class': holding out "
+                f"{cfg.synth_test_per_class} test examples of each class's "
+                f"{cfg.synth_per_class} leaves none to train on"
+            )
+        shards = cfg.synth_classes * train // cfg.resolved_shard_size()
+        if shards < cfg.clients * cfg.shards_per_client:
+            reject(
+                f"keys 'clients'/'shards_per_client'/'shard_size'/'synth_classes'/"
+                f"'synth_per_class'/'synth_test_per_class': {cfg.clients} clients of "
+                f"{cfg.shards_per_client} shards need {cfg.clients * cfg.shards_per_client} "
+                f"shards of {cfg.resolved_shard_size()}, and the synthetic train split of "
+                f"{cfg.synth_classes} x {train} examples holds {shards}"
+            )
     return cfg
 
 

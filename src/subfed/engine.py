@@ -310,6 +310,13 @@ class _Fresh:
 
 
 _FRESH = _Fresh()
+# The most bytes of im2col columns one eval conv call gathers: eval runs the
+# conv stack in parts of the batch sized to it (`_eval_parts`).
+EVAL_COLUMN_BUDGET = 2 << 20
+# OpenBLAS picks its GEMM kernel by M·N, the call's rows times outputs; at or
+# above this bound a row's bits do not depend on the call's row count
+# (tests/test_engine.py::TestBlasPathRule).
+BLAS_PATH_BOUND = 1280
 # Workspaces of finished evaluations, for the next one to borrow; list.pop
 # and list.append are atomic, so the threads of `federation.map_clients`
 # share it without a lock, and it holds at most as many workspaces as
@@ -572,6 +579,21 @@ def _pool_backward(dy, idx, window, x_shape):
     return dx
 
 
+def _eval_parts(layers, n: int, itemsize: int) -> int:
+    """How many near-equal parts of its `n` examples an eval pass runs the
+    conv stack `layers` in: as few as keep each conv's im2col columns within
+    EVAL_COLUMN_BUDGET bytes of `itemsize`-byte values, but never so many
+    that a part's conv GEMM falls below BLAS_PATH_BOUND, where its rows
+    could lose the bits they have in a whole-batch call."""
+    convs = [(desc, out) for _, desc, _, out in layers if isinstance(desc, Conv)]
+    if not convs:
+        return 1
+    cols = max(d.in_channels * d.kernel ** 2 * oh * ow for d, (_, oh, ow) in convs) * itemsize
+    most = max(1, EVAL_COLUMN_BUDGET // cols)  # examples per part
+    fewest = max(math.ceil(BLAS_PATH_BOUND / math.prod(out)) for _, out in convs)
+    return max(1, min(-(-n // most), n // fewest))
+
+
 def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
             workspace: Workspace | None = None):
     """Run the network on a (N,C,H,W) batch.
@@ -594,6 +616,11 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     its params, then adds the bias and batch-normalises only the pooled
     values. The logits are the same real numbers as the layer-by-layer
     walk's, NaN in the same places.
+
+    Eval mode runs the layers before the first Flatten in `_eval_parts`
+    parts of the batch, each part's output written into one buffer, and
+    the layers from the Flatten on once over the whole batch, so every
+    dense GEMM keeps the batch's row count.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -606,50 +633,70 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     if train and workspace is not None:
         raise ValueError("a workspace serves eval mode only")
     ws = _FRESH if workspace is None else workspace
-    slot = 0  # the output buffer the next layer output takes
-    x = batch
-    owned = False  # whether x is an array this call allocated
     records = []
     keep = records.append if train else (lambda record: None)
-    pooled = -1  # the index of a pool layer already run by the conv before it
-    for i, (name, desc, in_shape, _) in enumerate(layers):
-        if i == pooled:
-            continue
-        if isinstance(desc, Conv):
-            w = params[(name, ROLE_WEIGHT)]
-            nxt = layers[i + 1][1] if i + 1 < len(layers) else None
-            pool = 0
-            if (not train and isinstance(nxt, MaxPool)
-                    and _pools_first(params, name, desc, np.result_type(x.dtype, w.dtype))):
-                pool, pooled = nxt.window, i + 1
-            y, cols = _conv_forward(x, w, params[(name, ROLE_BIAS)], ws, f"out{slot}", pool)
-            bn_cache = None
-            if desc.batch_norm:
-                y, bn_cache = _bn_forward(y, params, name, mode)
-            keep((name, desc, (x.shape, cols, bn_cache)))
-            x, owned, slot = y, True, 1 - slot
-        elif isinstance(desc, MaxPool):
-            if train:
-                y, idx = _pool_forward(x, desc.window)
-                keep((name, desc, (x.shape, idx)))
-            else:
-                y = _pool_max(x, desc.window, ws, f"out{slot}")
-            x, owned, slot = y, True, 1 - slot
-        elif isinstance(desc, Relu):
-            mask = np.greater(x, 0, out=ws.array("relu", x.shape, np.bool_))
-            keep((name, desc, mask))
-            if owned:
-                x *= mask
-            else:
-                x, owned = x * mask, True
-        elif isinstance(desc, Flatten):
-            keep((name, desc, x.shape))
-            x = x.reshape(x.shape[0], -1)
-        elif isinstance(desc, Dense):
-            keep((name, desc, x))
-            x = x @ params[(name, ROLE_WEIGHT)].T
-            x += params[(name, ROLE_BIAS)]
-            owned = True
+    pools = {}  # conv index -> the window of the pool it runs itself
+
+    def walk(lo, hi, x, owned):
+        """Layers [lo, hi) on `x`, which is this call's own array if `owned`;
+        returns their output and whether it is owned."""
+        slot = 0  # the output buffer the next layer output takes
+        for i in range(lo, hi):
+            name, desc, _, _ = layers[i]
+            if i - 1 in pools:
+                continue
+            if isinstance(desc, Conv):
+                y, cols = _conv_forward(x, params[(name, ROLE_WEIGHT)], params[(name, ROLE_BIAS)],
+                                        ws, f"out{slot}", pools.get(i, 0))
+                bn_cache = None
+                if desc.batch_norm:
+                    y, bn_cache = _bn_forward(y, params, name, mode)
+                keep((name, desc, (x.shape, cols, bn_cache)))
+                x, owned, slot = y, True, 1 - slot
+            elif isinstance(desc, MaxPool):
+                if train:
+                    y, idx = _pool_forward(x, desc.window)
+                    keep((name, desc, (x.shape, idx)))
+                else:
+                    y = _pool_max(x, desc.window, ws, f"out{slot}")
+                x, owned, slot = y, True, 1 - slot
+            elif isinstance(desc, Relu):
+                mask = np.greater(x, 0, out=ws.array("relu", x.shape, np.bool_))
+                keep((name, desc, mask))
+                if owned:
+                    x *= mask
+                else:
+                    x, owned = x * mask, True
+            elif isinstance(desc, Flatten):
+                keep((name, desc, x.shape))
+                x = x.reshape(x.shape[0], -1)
+            elif isinstance(desc, Dense):
+                keep((name, desc, x))
+                x = x @ params[(name, ROLE_WEIGHT)].T
+                x += params[(name, ROLE_BIAS)]
+                owned = True
+        return x, owned
+
+    n, head, parts = len(batch), len(layers), 1  # train mode: one part, no head
+    if not train:
+        dtype = np.result_type(batch.dtype, params.flat.dtype)
+        for i, ((name, desc, _, _), (_, nxt, _, _)) in enumerate(zip(layers, layers[1:])):
+            if (isinstance(desc, Conv) and isinstance(nxt, MaxPool)
+                    and _pools_first(params, name, desc, dtype)):
+                pools[i] = nxt.window
+        head = next((i for i, (_, desc, _, _) in enumerate(layers) if isinstance(desc, Flatten)),
+                    head)
+        parts = _eval_parts(layers[:head], n, dtype.itemsize)
+    if parts == 1:
+        x, owned = walk(0, head, batch, False)
+    else:
+        for part in range(parts):
+            lo, hi = part * n // parts, (part + 1) * n // parts
+            y, _ = walk(0, head, batch[lo:hi], False)
+            if part == 0:
+                x, owned = ws.array("parts", (n, *y.shape[1:]), y.dtype), True
+            x[lo:hi] = y
+    x, _ = walk(head, len(layers), x, owned)
     return x, ForwardCache(mode, records, x, params)
 
 

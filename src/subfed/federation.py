@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import AGGREGATION_CHOICES, ExperimentConfig
 from .engine import (
     ModelSpec,
     OptimizerState,
@@ -357,8 +357,9 @@ def aggregate_sub_fedavg(results, theta_g_prev: ParamSet,
     """
     if not results:
         raise ValueError("aggregate_sub_fedavg needs at least one client result")
-    if mode not in ("per-position", "strict-intersection"):
-        raise ValueError(f"unknown aggregation mode {mode!r}")
+    if mode not in AGGREGATION_CHOICES:
+        raise ValueError(f"unknown aggregation mode {mode!r}, expected one of "
+                         f"{AGGREGATION_CHOICES}")
     return _fold_mean(
         results, theta_g_prev, theta_g_prev, strict=(mode == "strict-intersection")
     )

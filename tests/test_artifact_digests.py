@@ -39,6 +39,21 @@ def test_repeated_seed_flags_add_up(argv):
     assert artifact_digests.build_parser().parse_args(argv).seed == [1, 2]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--workload", "lenet5-hy", "cnn5-fedavg-p2"],
+    ["--workload", "lenet5-hy", "--workload", "cnn5-fedavg-p2"],
+])
+def test_repeated_workload_flags_add_up(argv):
+    assert artifact_digests.build_parser().parse_args(argv).workload == [
+        "lenet5-hy", "cnn5-fedavg-p2"]
+
+
+def test_unknown_workload_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit):
+        artifact_digests.build_parser().parse_args(["--workload", "lenet5-hy", "lenet5"])
+    assert "invalid choice: 'lenet5'" in capsys.readouterr().err
+
+
 def test_no_seed_flag_leaves_the_default_to_main():
     assert artifact_digests.build_parser().parse_args([]).seed is None
     assert artifact_digests.DEFAULT_SEEDS == (1, 2, 3)

@@ -335,7 +335,9 @@ class TestRunFlags:
         for action in self.run_options():
             value = self.non_default(action, getattr(defaults, action.dest))
             assert value != getattr(defaults, action.dest)
-            args = build_parser().parse_args(["run", action.option_strings[0], str(value)])
+            # on a file dataset, whose size shows only when it is read
+            args = build_parser().parse_args(
+                ["run", "--dataset", "mnist", action.option_strings[0], str(value)])
             cfg = _config_from_args(args)
             assert getattr(cfg, action.dest) == value, action.option_strings[0]
 

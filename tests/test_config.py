@@ -11,11 +11,14 @@ from subfed.config import ConfigError, ExperimentConfig, config_to_ini, parse_co
 from helpers import workloads
 
 ROOT = Path(__file__).resolve().parents[1]
+# the paper's defaults on a file dataset, whose size shows only when it is
+# read; on synthetic data they ask for more shards than its train split holds
+PAPER = {"dataset": "mnist", "data_root": "data"}
 
 
 class TestDefaults:
     def test_paper_hyperparameters(self):
-        cfg = parse_config(overrides={"dataset": "synthetic"})
+        cfg = parse_config(overrides=PAPER)
         assert cfg.clients == 100
         assert cfg.batch_size == 10
         assert cfg.local_epochs == 5
@@ -39,8 +42,8 @@ class TestFileParsing:
     def test_empty_file_plus_dataset_gives_defaults(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("")
-        cfg = parse_config(path, overrides={"dataset": "synthetic"})
-        assert cfg == parse_config(overrides={"dataset": "synthetic"})
+        cfg = parse_config(path, overrides=PAPER)
+        assert cfg == parse_config(overrides=PAPER)
 
     def test_values_read_from_sections(self, tmp_path):
         path = tmp_path / "exp.ini"
@@ -57,7 +60,8 @@ class TestFileParsing:
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "exp.ini"
-        path.write_text("[data]\ndataset = synthetic\n[training]\nlearning_rate = 0.01\n")
+        path.write_text("[data]\ndataset = synthetic\nshard_size = 25\n"
+                        "[training]\nlearning_rate = 0.01\n")
         cfg = parse_config(path, overrides={"learning_rate": 0.1})
         assert cfg.learning_rate == 0.1
 
@@ -85,7 +89,8 @@ class TestFileParsing:
 
     def test_model_section_uses_name_key(self, tmp_path):
         path = tmp_path / "exp.ini"
-        path.write_text("[data]\ndataset = synthetic\n[model]\nname = cnn5-mnist\n")
+        path.write_text("[data]\ndataset = synthetic\nshard_size = 25\n"
+                        "[model]\nname = cnn5-mnist\n")
         assert parse_config(path).model == "cnn5-mnist"
 
     def test_readme_example_parses(self, tmp_path):
@@ -140,6 +145,47 @@ class TestValidation:
         cfg = parse_config(overrides=dict(dataset="synthetic", shard_size=1))
         assert cfg.validation_size(2) == 1
 
+    @pytest.mark.parametrize("test_per_class", [100, 300])
+    def test_synthetic_test_split_taking_every_example_rejected(self, test_per_class):
+        with pytest.raises(ConfigError, match="keys 'synth_per_class'/'synth_test_per_class': "
+                           f"holding out {test_per_class} test examples of each class's 100"):
+            parse_config(overrides=dict(synth_per_class=100, synth_test_per_class=test_per_class))
+
+    # the acceptance config deals exactly the 20 shards of 25 that its
+    # synthetic train split of 10 classes x 50 examples holds
+    ACCEPTANCE = dict(dataset="synthetic", clients=10, shard_size=25,
+                      synth_per_class=100, synth_test_per_class=50)
+
+    @pytest.mark.parametrize("change, need, size, holds", [
+        (dict(clients=11), 22, 25, 20),
+        (dict(shards_per_client=3), 30, 25, 20),
+        (dict(shard_size=26), 20, 26, 19),
+        (dict(synth_classes=9), 20, 25, 18),
+        (dict(synth_per_class=99), 20, 25, 19),
+        (dict(synth_test_per_class=51), 20, 25, 19),
+        (dict(shard_size=0), 20, 250, 2),
+    ])
+    def test_synthetic_train_split_short_of_shards_rejected(self, change, need, size, holds):
+        with pytest.raises(ConfigError, match=(
+                "keys 'clients'/'shards_per_client'/'shard_size'/'synth_classes'/"
+                f"'synth_per_class'/'synth_test_per_class': .* need {need} shards of {size}, "
+                f"and the synthetic train split of .* holds {holds}$")):
+            parse_config(overrides=dict(self.ACCEPTANCE, **change))
+
+    def test_synthetic_train_split_dealing_every_shard_accepted(self):
+        cfg = parse_config(overrides=self.ACCEPTANCE)
+        assert cfg.clients * cfg.shards_per_client * cfg.shard_size == 10 * 50
+
+    def test_file_dataset_split_left_to_the_data(self):
+        cfg = parse_config(overrides=dict(PAPER, synth_per_class=100, synth_test_per_class=300))
+        assert cfg.clients * cfg.shards_per_client * cfg.resolved_shard_size() == 50_000
+
+    def test_run_with_a_split_short_of_shards_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["run", "--dataset", "synthetic", "--out", str(out), "--quiet"]) == 1
+        assert "config error: keys 'clients'/" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def below(x):
     return math.nextafter(x, -math.inf)
@@ -186,7 +232,7 @@ REJECTED = [(key, v) for key, (_, _, rejected) in RANGES.items() for v in reject
 class TestRanges:
     @pytest.mark.parametrize("key, value", ACCEPTED)
     def test_value_at_or_inside_bound_accepted(self, key, value):
-        assert getattr(parse_config(overrides={"dataset": "synthetic", key: value}), key) == value
+        assert getattr(parse_config(overrides={**PAPER, key: value}), key) == value
 
     @pytest.mark.parametrize("key, value", REJECTED)
     def test_nearest_value_outside_bound_rejected(self, key, value):
@@ -226,7 +272,7 @@ class TestRanges:
 class TestEcho:
     def test_ini_round_trip(self, tmp_path):
         cfg = parse_config(overrides={
-            "dataset": "synthetic", "rounds": 9, "learning_rate": 0.3,
+            "dataset": "synthetic", "shard_size": 25, "rounds": 9, "learning_rate": 0.3,
             "model": "synth-cnn", "algorithm": "standalone",
         })
         path = tmp_path / "echo.ini"

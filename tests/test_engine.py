@@ -727,6 +727,91 @@ class TestEvalConvBlock:
         assert ran == ["conv1", "conv2"]
 
 
+def _spy_conv_calls(monkeypatch):
+    """(examples, M·N, column bytes) of every conv GEMM, call by call."""
+    calls, gemm = [], E._conv_gemm
+
+    def spy(x, w, ws=E._FRESH):
+        y, cols = gemm(x, w, ws)
+        calls.append((len(x), y.size, cols.nbytes))
+        return y, cols
+
+    monkeypatch.setattr(E, "_conv_gemm", spy)
+    return calls
+
+
+def _whole_batch(monkeypatch):
+    """Lift the column budget, so eval runs every batch as one part."""
+    monkeypatch.setattr(E, "EVAL_COLUMN_BUDGET", 1 << 62)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestEvalParts:
+    """Eval runs the layers before the first Flatten in near-equal parts of
+    the batch: as few as keep each conv's im2col columns within
+    EVAL_COLUMN_BUDGET, but none whose conv GEMMs fall below the BLAS path
+    bound. Its logits equal the whole-batch walk's bit for bit. A budget of
+    0 cuts each batch into parts of the fewest examples the bound allows."""
+
+    @pytest.mark.parametrize("budget", [E.EVAL_COLUMN_BUDGET, 0])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", [n for n in SPECS if n not in EDGE_SPECS])
+    def test_parts_keep_the_bound_and_the_bits(self, name, dtype, budget, monkeypatch):
+        spec = SPECS[name]
+        rng = np.random.default_rng(200 + list(SPECS).index(name))
+        params = _eval_params(spec, dtype, rng)
+        convs = sum(isinstance(desc, Conv) for desc in spec.layers)
+        spied = _spy_conv_calls(monkeypatch)
+        for n in (50, 256, 300):
+            x = _special_batch(spec, n, dtype, rng)
+            monkeypatch.setattr(E, "EVAL_COLUMN_BUDGET", budget)
+            spied.clear()
+            got, _ = forward(spec, params, x, "eval", E.Workspace())
+            calls = list(spied)
+            _whole_batch(monkeypatch)
+            ref, _ = forward(spec, params, x, "eval")
+            assert same_bits(got, ref), (name, n)
+            sizes = [examples for examples, _, _ in calls[::convs]]
+            assert sum(sizes) == n and max(sizes) - min(sizes) <= 1, sizes
+            if len(sizes) > 1:
+                assert min(mn for _, mn, _ in calls) >= TestBlasPathRule.BOUND, (name, n)
+                if budget:
+                    assert max(nbytes for _, _, nbytes in calls) <= budget, (name, n)
+
+    @pytest.mark.parametrize("model, n, parts", [
+        ("synth-cnn", 50, 1), ("synth-cnn", 81, 1), ("synth-cnn", 82, 2), ("synth-cnn", 256, 4),
+        ("cnn5-mnist", 50, 3), ("lenet5-cifar", 50, 7), ("lenet5-cifar", 256, 32),
+    ])
+    def test_part_counts(self, model, n, parts, monkeypatch):
+        """Float32 columns of 25.6 KB per example on `synth-cnn`, 100 KB on
+        `cnn5-mnist` (conv2) and 235 KB on `lenet5-cifar` (conv1) fit 81,
+        20 and 8 examples into the budget."""
+        spec = builtin_spec(model)
+        calls = _spy_conv_calls(monkeypatch)
+        forward(spec, init_params(spec, 0), np.ones((n, *spec.input_shape), np.float32), "eval")
+        assert len(calls) == 2 * parts
+
+    @pytest.mark.parametrize("model", ["lenet5-cifar", "synth-cnn"])
+    def test_workspace_bytes_after_one_label_block(self, model, monkeypatch):
+        """One 50-example eval leaves `lenet5-cifar`'s workspace under 3 MiB
+        (13.5 MB as one part) and `synth-cnn`'s as large as one part."""
+        spec = builtin_spec(model)
+        params = init_params(spec, 0)
+        x = np.random.default_rng(9).normal(size=(50, *spec.input_shape)).astype(np.float32)
+
+        def held(ws):
+            forward(spec, params, x, "eval", ws)
+            return sum(buf.nbytes for buf in ws.buffers.values())
+
+        parts = held(E.Workspace())
+        _whole_batch(monkeypatch)
+        whole = held(E.Workspace())
+        if model == "synth-cnn":
+            assert parts == whole
+        else:
+            assert parts <= 3 << 20 < whole
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestWindowMax:
     """One window-max kernel pools NCHW layers (`_pool_max`) and conv GEMM

@@ -10,7 +10,9 @@ import pytest
 import subfed
 from subfed import engine as E
 from subfed import federation
-from subfed.config import ALGORITHM_CHOICES, ConfigError, ExperimentConfig, parse_config
+from subfed.config import (
+    AGGREGATION_CHOICES, ALGORITHM_CHOICES, ConfigError, ExperimentConfig, parse_config,
+)
 from subfed.data import label_blocks, partition_shards, split_per_class, synth_dataset
 from subfed.engine import ModelSpec, ParamSet, builtin_spec, init_params
 from subfed.federation import (
@@ -66,7 +68,8 @@ def config(**overrides) -> ExperimentConfig:
     lr 0.05, every client sampled, and prune targets of 0 unless
     `overrides` sets them."""
     base = dict(local_epochs=2, batch_size=10, learning_rate=0.05, sampling_rate=1.0,
-                target_unstructured=0.0, target_structured=0.0)
+                target_unstructured=0.0, target_structured=0.0,
+                shard_size=25)  # a split the default synthetic data can deal
     return parse_config(overrides={**base, **overrides})
 
 
@@ -123,6 +126,20 @@ class TestAggregation:
         out = aggregate_sub_fedavg([a, b], prev, mode="strict-intersection")
         # only position 0 is kept by every client
         assert out[("fc1", "weight")].tolist() == [3.0, 9.0, 9.0]
+
+    @pytest.mark.parametrize("mode", AGGREGATION_CHOICES)
+    def test_every_config_choice(self, mode):
+        prev = ParamSet({("fc1", "weight"): np.array([9.0, 9.0, 9.0], np.float32)})
+        a = result_from(0, [2.0, 4.0, 0.0], [1, 1, 0])
+        b = result_from(1, [4.0, 0.0, 6.0], [1, 0, 1])
+        out = aggregate_sub_fedavg([a, b], prev, mode=mode)
+        expected = {"per-position": [3.0, 4.0, 6.0], "strict-intersection": [3.0, 9.0, 9.0]}
+        assert out[("fc1", "weight")].tolist() == expected[mode]
+
+    def test_unknown_mode_rejected(self):
+        prev = ParamSet({("fc1", "weight"): np.zeros(1, np.float32)})
+        with pytest.raises(ValueError, match="unknown aggregation mode 'union'"):
+            aggregate_sub_fedavg([result_from(0, [1.0], [1])], prev, mode="union")
 
     def test_dense_masks_reduce_to_fedavg(self):
         rng = np.random.default_rng(3)
