@@ -508,31 +508,62 @@ def _bn_backward(dy, cache):
     return dx, dscale, dshift
 
 
-def _as_bits(a):
-    """The same memory as unsigned integers of the element width."""
-    return a.view(np.dtype(f"u{a.dtype.itemsize}"))
+@lru_cache(maxsize=32)
+def _pool_window_offsets(x_shape: tuple[int, ...], window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat offsets into an NCHW array of `x_shape`: of each pool window's
+    first tap, in the pooled output's order, and of each tap from its
+    window's first, in row-major window order."""
+    n, c, h, w = x_shape
+    first = np.arange(math.prod(x_shape)).reshape(n, c, h // window, window, w // window, window)
+    first = np.ascontiguousarray(first[:, :, :, 0, :, 0])
+    taps = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
+    for a in (first, taps):
+        a.setflags(write=False)  # shared by every caller through the cache
+    return first, taps
+
+
+def _pool_offsets(idx, window, x_shape):
+    """Flat offsets into an NCHW array of `x_shape` of each window's winner,
+    from its in-window index `idx`."""
+    first, taps = _pool_window_offsets(x_shape, window)
+    offsets = np.take(taps, idx)
+    offsets += first
+    return offsets
 
 
 def _pool_forward(x, window):
     """Window maxima and the flat in-window index of each one.
 
     The taps are strided views of `x`, walked in row-major window order. A
-    later tap wins only where it is strictly greater, or is the first NaN,
-    which is argmax's first-max rule. The winner's bits are copied with a
-    branch-free select, so `y` holds the exact input value.
+    later tap wins only where it is strictly greater than the winner so
+    far, or is the first NaN, which is argmax's first-max rule. `y` is
+    gathered from `x` at each winner's flat offset, so it holds the exact
+    input value.
+
+    The comparisons read `best`, a running `np.maximum` of the taps, not the
+    winner itself. Max is exact and propagates NaN, so after each tap `best`
+    equals the winner so far as a real number, NaN in the same places: a
+    tap that wins is greater than `best`, which it then equals, or is the
+    first NaN, which `best` takes too; a tap that loses is at most the
+    winner, so `best` keeps its value, or meets a NaN winner, which `best`
+    already holds. `<=` and `==` read only the real value and NaN-ness (-0
+    equals +0), so every take decides as it would against the winner, and
+    `idx` and the winners' bits (signed zeros and NaN payloads) are
+    argmax's.
     """
     n, c, h, w = x.shape
+    taps = window * window
     xr = x.reshape(n, c, h // window, window, w // window, window)
-    y = xr[:, :, :, 0, :, 0].copy()
-    idx = np.zeros(y.shape, dtype=np.min_scalar_type(window * window - 1))  # uint8 for 2x2
-    y_bits, x_bits = _as_bits(y), _as_bits(xr)
-    for t in range(1, window * window):
+    best = xr[:, :, :, 0, :, 0].copy()
+    idx = np.zeros(best.shape, dtype=np.min_scalar_type(taps - 1))  # uint8 for 2x2
+    for t in range(1, taps):
         a, b = divmod(t, window)
-        take = ~(xr[:, :, :, a, :, b] <= y) & (y == y)
-        # -take is all ones where the tap wins, so the xor swaps in its bits there
-        y_bits ^= (y_bits ^ x_bits[:, :, :, a, :, b]) & -take.astype(y_bits.dtype)
+        tap = xr[:, :, :, a, :, b]
+        take = ~(tap <= best) & (best == best)
         np.maximum(idx, take * idx.dtype.type(t), out=idx)  # t exceeds every earlier index
-    return y, idx
+        if t < taps - 1:  # the last tap is compared only
+            np.maximum(best, tap, out=best)
+    return np.take(x, _pool_offsets(idx, window, x.shape)), idx
 
 
 def _window_max(v, ws, out):
@@ -567,15 +598,10 @@ def _pool_max(x, window, ws=_FRESH, out="y"):
 
 
 def _pool_backward(dy, idx, window, x_shape):
-    """Route each window's gradient to its max, tap by tap; other entries get +0."""
-    n, c, h, w = x_shape
-    dx = np.empty(x_shape, dtype=dy.dtype)
-    dx_bits = _as_bits(dx).reshape(n, c, h // window, window, w // window, window)
-    dy_bits = _as_bits(dy)
-    for t in range(window * window):
-        a, b = divmod(t, window)
-        keep = -(idx == t).astype(dy_bits.dtype)
-        np.bitwise_and(dy_bits, keep, out=dx_bits[:, :, :, a, :, b])
+    """Scatter each window's gradient, bit for bit, to its winner's flat
+    offset; other entries get +0."""
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    np.put(dx, _pool_offsets(idx, window, x_shape), dy)
     return dx
 
 

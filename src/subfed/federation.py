@@ -258,11 +258,13 @@ def client_update(
         order = rng.permutation(n)
         for s in range(0, n, cfg.batch_size):
             idx = order[s:s + cfg.batch_size]
-            _, cache = forward(spec, params, client.x_train[idx], "train")
+            cache = forward(spec, params, client.x_train[idx], "train")[1]
             loss, grads = backward(cache, client.y_train[idx])
+            del cache  # so one step's arrays are alive at a time, not two
             if not math.isfinite(loss):
                 raise TrainingDivergedError(client.client_id, server.round_index)
             sgd_step(params, grads, opt, client.mask)
+            del grads
         if prunes and epoch in (0, epochs - 1):
             candidates.append((
                 derive_unstructured_mask(params, next_us, client.mask.covered),

@@ -462,6 +462,55 @@ class TestKernelsMatchReference:
         _check_pool(x, window)
 
 
+    # two quiet NaNs per width, of different signs and payloads
+    NAN_BITS = {4: (0x7FC00001, 0xFFC00002), 8: (0x7FF8000000000001, 0xFFF8000000000002)}
+
+    def _nans(self, dtype):
+        size = np.dtype(dtype).itemsize
+        return np.array(self.NAN_BITS[size], f"u{size}").view(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_pool_first_nan_payload_wins(self, window, dtype):
+        """Of two NaNs with different payloads in one window, the first in
+        row-major window order is the maximum, bit for bit."""
+        nans = self._nans(dtype)
+        rng = np.random.default_rng([window, np.dtype(dtype).itemsize])
+        x = rng.normal(size=(2, 3, 2 * window, 2 * window)).astype(dtype)
+        first, later = 1, window * window - 1  # taps of window (0, 0, 0, 0)
+        for nan, t in ((nans[0], first), (nans[1], later)):
+            x[0, 0, t // window, t % window] = nan
+        # the other order in window (1, 2, 1, 1)
+        x[1, 2, window, window] = nans[1]
+        x[1, 2, 2 * window - 1, 2 * window - 1] = nans[0]
+        _check_pool(x, window)
+        y, idx = E._pool_forward(x, window)
+        assert same_bits(y[0, 0, 0, 0], nans[0]) and idx[0, 0, 0, 0] == first
+        assert same_bits(y[1, 2, 1, 1], nans[1]) and idx[1, 2, 1, 1] == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [2, 3])
+    def test_pool_backward_routes_gradient_bits(self, window, dtype):
+        """A -0 gradient and a NaN-payload gradient reach their windows'
+        winners bit for bit; every other input entry gets +0."""
+        rng = np.random.default_rng([window, np.dtype(dtype).itemsize, 1])
+        x = rng.normal(size=(2, 3, 3 * window, 2 * window)).astype(dtype)
+        y, idx = E._pool_forward(x, window)
+        dy = rng.normal(size=y.shape).astype(dtype)
+        dy[0, 1, 2, 0], dy[1, 0, 0, 1] = -0.0, self._nans(dtype)[1]
+        dx = E._pool_backward(dy, idx, window, x.shape)
+        assert same_bits(dx, reference_pool_backward(dy, idx, window, x.shape))
+        winners = np.zeros(x.shape, bool)
+        for pos in np.ndindex(*y.shape):
+            a, b = divmod(int(idx[pos]), window)
+            n, c, i, j = pos
+            winner = (n, c, i * window + a, j * window + b)
+            winners[winner] = True
+            assert same_bits(dx[winner], dy[pos])
+        assert np.signbit(dx[0, 1, 2 * window:3 * window, :window]).sum() == 1  # the -0
+        assert same_bits(dx[~winners], np.zeros(int((~winners).sum()), dtype))
+
+
 class TestBatchNormMatchesReference:
     """Batch norm forms the batch mean once and gives numpy's mean/var
     formulation bit for bit, running statistics included. Eval works in

@@ -2,6 +2,7 @@ import importlib.util
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,31 @@ class TestClientUpdate:
         # it reads them from refuses fewer than two
         with pytest.raises(ConfigError, match="local_epochs"):
             config(local_epochs=1)
+
+    def test_one_step_of_arrays_alive_at_a_time(self, monkeypatch):
+        """A step's forward cache and gradients are freed before the next
+        step's forward starts."""
+        cfg = config()
+        client = synthetic_client(cfg)
+        held, dead_at_forward = [], []
+        forward, backward = federation.forward, federation.backward
+
+        def spy_forward(*args):
+            dead_at_forward.append([ref() is None for ref in held])
+            logits, cache = forward(*args)
+            held.append(weakref.ref(cache))
+            return logits, cache
+
+        def spy_backward(cache, labels):
+            loss, grads = backward(cache, labels)
+            held.append(weakref.ref(grads))
+            return loss, grads
+
+        monkeypatch.setattr(federation, "forward", spy_forward)
+        monkeypatch.setattr(federation, "backward", spy_backward)
+        update(client, cfg, np.random.default_rng(3))
+        assert len(dead_at_forward) == 2 * 8  # two epochs of 80 examples in batches of 10
+        assert all(all(dead) for dead in dead_at_forward)
 
     def test_drift_below_eps_means_no_prune(self):
         cfg = config(
