@@ -78,9 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main() -> int:
-    args = build_parser().parse_args()
+    ap = build_parser()
+    args = ap.parse_args()
     if min(args.batch, args.blocks, args.steps) < 1:
-        build_parser().error("--batch, --blocks and --steps must be at least 1")
+        ap.error("--batch, --blocks and --steps must be at least 1")
     parent, change = (Side(load_engine(root, f"{side}_engine"), args.model, args.batch)
                       for side, root in (("parent", args.parent), ("change", args.change)))
     for side in (parent, change):
