@@ -10,12 +10,14 @@ first for the 1st, 3rd, ... seed and the change first for the others. It
 reads each run's perfbench/out/<W>-seed<S>-trace0/result.json.
 
 For every end-to-end metric of BENCHMARK.json it prints each pair's
-nominal-speed values, each side's median and quartiles
-(statistics.quantiles, n=4), each side's median raw value (result.json's
-raw_metrics), and the change's win count, ties counting for neither side.
-Each side's median host-speed probe reading, over its experiments' probe_s,
-is printed once: the probe runs in the program's process, so a change that
-moves the probe shows there. The verdict, on nominal-speed values only:
+nominal-speed values, each next to its raw value (result.json's
+raw_metrics) and its run's median host-speed probe reading (over its
+experiments' probe_s), then each side's median and quartiles
+(statistics.quantiles, n=4), each side's median raw value, and the change's
+win count, ties counting for neither side. Each side's median probe reading
+over all its runs is printed once: the probe runs in the program's process,
+so a change that moves the probe shows there, and per pair a nominal win
+can be told from a raw one. The verdict, on nominal-speed values only:
 
 - "gain": at least 10 pairs, the change wins at least nine tenths of them,
   its median is better than the parent's by more than the parent's
@@ -58,6 +60,13 @@ def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> d
         print(f"  {checkout} seed {seed}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}",
               file=sys.stderr)
     return json.loads(path.read_text()) if path.is_file() else None
+
+
+def probe_median(result: dict) -> float:
+    """The median of a run's host-speed probe readings; NaN if none of its
+    experiments finished (a failed experiment has no readings)."""
+    probes = [p for e in result["experiments"] for p in e.get("probe_s", ())]
+    return statistics.median(probes) if probes else float("nan")
 
 
 def verdict(metric: dict, parent: list[float], change: list[float],
@@ -109,8 +118,11 @@ def report(metrics: list[dict], pairs: list[tuple[int, dict, dict]]) -> None:
         change = [c["metrics"][name]["value"] for _, _, c in pairs]
         v = verdict(metric, parent, change, tuple(failed_shares))
         print(f"\n{name} ({metric['unit']}, {metric['better']} is better, bound {metric['bound']})")
-        for (seed, _, _), p, c in zip(pairs, parent, change):
-            print(f"  seed {seed:<6d} parent {p:<12.6g} change {c:.6g}")
+        for seed, *sides in pairs:
+            print(f"  seed {seed:<6d}" + "".join(
+                f" {side} {res['metrics'][name]['value']:<12.6g} raw "
+                f"{res['raw_metrics'][name]:<12.6g} probe {probe_median(res):<10.6g}"
+                for side, res in zip(("parent", "change"), sides)).rstrip())
         for side in ("parent", "change"):
             s = v[side]
             print(f"  {side} median {s['median']:.6g}  quartiles {s['q1']:.6g} .. {s['q3']:.6g}")

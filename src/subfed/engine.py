@@ -326,7 +326,8 @@ _EVAL_WORKSPACES: list[Workspace] = []
 
 @lru_cache(maxsize=32)
 def _im2col_offsets(c: int, h: int, w: int, k: int) -> np.ndarray:
-    """Flat offsets into one (c, h, w) sample of its im2col rows, in row order."""
+    """Flat offsets into one (c, h, w) sample of its im2col rows, in row order:
+    the gather of `_conv_gemm` and the scatter of `_col2im`."""
     sample = np.arange(c * h * w).reshape(1, c, h, w)
     win = np.lib.stride_tricks.sliding_window_view(sample, (k, k), axis=(2, 3))
     offsets = win.transpose(0, 2, 3, 1, 4, 5).ravel()
@@ -390,15 +391,8 @@ def _pools_first(params, name, desc, dtype) -> bool:
 
 
 def _conv_backward(dy, cols, w, x_shape, input_grad=True):
-    """Weight and bias gradients, and the input gradient when `input_grad`.
-
-    The column gradients come from the one GEMM `_col2im` sums. Where the
-    output has fewer positions than the kernel has taps, they are copied
-    once into (i, j, c) order and summed by `_col2im_positions`. A GEMM over
-    the weights in (i, j, c) order would skip the copy, but OpenBLAS rounds
-    some columns differently once they move (one-row products, and float64
-    at o = 16), so it would not keep the bits.
-    """
+    """Weight and bias gradients, and the input gradient when `input_grad`:
+    the column gradients of one GEMM, summed by `_col2im`."""
     n, c, h, width = x_shape
     o, _, k, _ = w.shape
     oh, ow = h - k + 1, width - k + 1
@@ -407,45 +401,28 @@ def _conv_backward(dy, cols, w, x_shape, input_grad=True):
     db = dy_mat.sum(axis=0)
     if not input_grad:
         return None, dw, db
-    dcols = (dy_mat @ w.reshape(o, -1)).reshape(n, oh, ow, c, k, k)
-    if oh * ow < k * k:
-        dcols = np.ascontiguousarray(dcols.transpose(0, 1, 2, 4, 5, 3))
-        return _col2im_positions(dcols, x_shape), dw, db
-    return _col2im(dcols, x_shape), dw, db
+    return _col2im(dy_mat @ w.reshape(o, -1), x_shape, k), dw, db
 
 
-def _col2im(dcols, x_shape):
-    """Sum the (n, oh, ow, c, k, k) column gradients into an input gradient,
-    tap by tap: each input element gets its terms in ascending tap (i, j)
-    order, added to +0."""
-    n, oh, ow, c, k, _ = dcols.shape
-    dx = np.zeros(x_shape, dtype=dcols.dtype)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return dx
+def _col2im(dcols, x_shape, k):
+    """Sum column gradients, in the C order of (n, oh, ow, c, k, k), into an
+    input gradient: the im2col gather of `_conv_gemm` run backwards, one
+    `np.add.at` per sample over the same offsets.
 
-
-def _col2im_positions(dcols, x_shape):
-    """`_col2im` of (n, oh, ow, k, k, c) column gradients, position by position.
-
-    Each output position's (k, k*c) block is added into channels-last rows
-    of w*c values, in runs of k*c floats, and the sum is transposed once to
-    NCHW. The positions walked in reverse row-major order give every input
-    element its terms in ascending tap order from +0, so the bits are
-    `_col2im`'s, signed zeros included. Only where two NaNs of different
-    sign or payload meet in one sum may the surviving NaN differ, since
-    numpy's add keeps a different operand's NaN in its vector body and its
-    scalar tail.
+    add.at adds in index order. Walked in reverse, the output positions
+    (y, x) come in descending row-major order, and an input element (r, q)
+    takes tap (i, j) from position (r - i, q - j), so its taps come with i
+    ascending and, within one i, j ascending, added to +0. That is the order
+    of a loop over the taps (tests/helpers.py::reference_col2im), so the bits
+    are that loop's, but for which NaN survives where NaNs of two signs meet.
     """
-    n, oh, ow, k, _, c = dcols.shape
-    _, _, h, width = x_shape
-    rows = np.zeros((n, h, width * c), dtype=dcols.dtype)
-    blocks = dcols.reshape(n, oh, ow, k, k * c)
-    for y in range(oh - 1, -1, -1):
-        for x in range(ow - 1, -1, -1):
-            rows[:, y:y + k, x * c:(x + k) * c] += blocks[:, y, x]
-    return np.ascontiguousarray(rows.reshape(n, h, width, c).transpose(0, 3, 1, 2))
+    n, c, h, width = x_shape
+    offsets = _im2col_offsets(c, h, width, k)[::-1]
+    dcols = dcols.reshape(n, offsets.size)
+    dx = np.zeros((n, c * h * width), dtype=dcols.dtype)
+    for s in range(n):
+        np.add.at(dx[s], offsets, dcols[s, ::-1])
+    return dx.reshape(x_shape)
 
 
 def _bn_inv(params, name, dtype):

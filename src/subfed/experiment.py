@@ -257,11 +257,10 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     # sample. A client's params change only in client_update, which scores
     # them on its eval set, so its latest record holds its local accuracy;
     # clients never sampled all still hold copies of the initial params, so
-    # clients with bit-equal params share their scores. A served accuracy
-    # holds only if the client was in the final round: every aggregation
-    # since an earlier one has changed the global params. The server's
-    # (mask, label) counts were taken under the global params as they are
-    # now, so the clients that missed the final round reuse them.
+    # clients with bit-equal params share their scores. Served accuracies
+    # are all scored under the global params as they are now: the server's
+    # (mask, label) counts already hold the final round's pairs, so only
+    # pairs of clients that missed that round can need an evaluation.
     parallelism = cfg.resolved_parallelism()
     latest = {c["id"]: c for record in records for c in record["clients"]}
     local = {cid: c["local_accuracy"] for cid, c in latest.items()}
@@ -273,11 +272,9 @@ def _run_into(cfg: ExperimentConfig, tmp: Path, progress) -> Path:
     if cfg.algorithm == "standalone":
         served = local
     else:
-        served = {c["id"]: c["served_accuracy"] for c in records[-1]["clients"]}
-        stale = [cid for cid in sorted(clients) if cid not in served]
-        served.update(zip(stale, served_accuracies(
+        served = dict(zip(sorted(clients), served_accuracies(
             evaluate_accuracy, apply_mask, server.spec, server.params,
-            [clients[cid] for cid in stale], parallelism, server.served_counts,
+            [clients[cid] for cid in sorted(clients)], parallelism, server.served_counts,
         )))
     client_rows = [
         (

@@ -150,7 +150,8 @@ def test_summarise_canned_results(tmp_path):
     out = proc.stdout
     assert "workload w: 10 pairs" in out
     assert "parent: 0 of 40 experiments failed" in out and "change: 0 of 40" in out
-    assert "seed 951    parent 1            change 0.91" in out
+    assert ("seed 951    parent 1            raw 1.5          probe 0.045      "
+            "change 0.91         raw 1.365        probe 0.045\n") in out
     assert out.count("change wins 10 of 10 pairs (0 lost)") == 2
     assert out.count(": gain") == 2
     assert proc.stderr == "seed 956: artifact digest differs: d0 against d1\n"
@@ -172,6 +173,31 @@ def test_raw_medians_and_probe_readings(tmp_path):
     assert "raw medians: parent 1  change 1.82" in out  # round_s_p50
     assert "raw medians: parent 404.5  change 869" in out  # steps_per_s
     assert out.count(": better, more failures") == 2
+
+
+def test_pair_lines_carry_raw_values_and_probe_medians(tmp_path):
+    """Each pair's line shows both sides' raw values and run probe medians,
+    so a nominal win that rests on the probe can be told from a raw one:
+    here the change wins every pair at nominal speed while its raw values
+    are the parent's, because its runs drew a slower host."""
+    seeds = [951, 952, 953]
+    parent = checkout(tmp_path / "p", {s: result(1.0, 400.0, raw=1.0, probe=0.01 * (i + 1))
+                                       for i, s in enumerate(seeds)})
+    change = checkout(tmp_path / "c", {s: result(0.8, 500.0, raw=1.25, probe=0.02 * (i + 1),
+                                                 failed=4 if i == 2 else 0)
+                                       for i, s in enumerate(seeds)})
+    lines = ab(parent, change, seeds).stdout.splitlines()
+    first = lines.index("round_s_p50 (s, lower is better, bound 0.25)")
+    assert lines[first + 1:first + 4] == [
+        "  seed 951    parent 1            raw 1            probe 0.015      "
+        "change 0.8          raw 1            probe 0.03",
+        "  seed 952    parent 1            raw 1            probe 0.03       "
+        "change 0.8          raw 1            probe 0.06",
+        # every experiment of the change's run failed: no probe reading
+        "  seed 953    parent 1            raw 1            probe 0.045      "
+        "change 0.8          raw 1            probe nan",
+    ]
+    assert "change wins 3 of 3 pairs (0 lost)" in lines[first + 7]
 
 
 def test_a_failed_experiment_withholds_the_printed_gain(tmp_path):

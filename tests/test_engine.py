@@ -333,12 +333,11 @@ class TestKernelsMatchReference:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_conv_backward_small_outputs(self, k, dtype):
-        """Every output with fewer positions than taps (oh*ow < k*k), where
-        the input gradient sums (i, j, c)-ordered column gradients position
-        by position: dx, dw and db keep the reference's bits, with signed
+        """Every output with fewer positions than taps (oh*ow < k*k), as on
+        synth-cnn's conv2: dx, dw and db keep the reference's bits, with signed
         zeros and infinities in `dy` and `w`. Where infinities make NaNs of
         both signs meet in one sum, only the NaN's place is compared (see
-        `_col2im_positions`)."""
+        `test_col2im_special_values`)."""
         rng = np.random.default_rng([k, np.dtype(dtype).itemsize])
         special = np.array([0.0, -0.0, np.inf, -np.inf], dtype)
 
@@ -366,8 +365,9 @@ class TestKernelsMatchReference:
                             assert same_bits(a[~nan], r[~nan]), (name, x_shape, o)
 
     def test_conv_backward_synth_cnn_conv2(self):
-        """synth-cnn's conv2 (8x8 input, k = 5, 4x4 output) at batch 10 takes
-        the positions loop; 200 trials keep the reference's bits."""
+        """synth-cnn's conv2 (8x8 input, k = 5, 4x4 output) at batch 10, whose
+        output has fewer positions than taps; 200 trials keep the reference's
+        bits."""
         conv2 = [d for d in builtin_spec("synth-cnn").layers if isinstance(d, Conv)][1]
         rng = np.random.default_rng(200)
         x_shape = (10, conv2.in_channels, 8, 8)
@@ -381,21 +381,16 @@ class TestKernelsMatchReference:
         (3, 2, 4), (3, 3, 3), (3, 4, 3), (2, 1, 3), (1, 1, 1), (1, 2, 3),
     ])
     def test_col2im_special_values(self, k, oh, ow, dtype):
-        """Both loops, the taps loop over (c, i, j)-ordered column gradients
-        and the positions loop over the same gradients in (i, j, c) order,
-        on either side of oh*ow = k*k, give the reference's bits for signed
-        zeros and infinities, and +0 for an all -0 input. NaN lands in the
-        same places. Where two NaNs of different sign meet in one sum,
-        numpy's add keeps one operand's NaN in its vector body and the
-        other's in its scalar tail, so there only the NaN's place is
+        """The scatter, on either side of oh*ow = k*k, gives the reference's
+        bits for signed zeros and infinities, and +0 for an all -0 input.
+        NaN lands in the same places. Where two NaNs of different sign meet
+        in one sum, the reference's `+=` keeps the first operand's NaN in
+        its vector body and the second's in its scalar tail, while
+        `np.add.at` keeps the first's, so there only the NaN's place is
         compared; with one NaN kind and no opposite infinities every bit is."""
         rng = np.random.default_rng([k, oh, ow])
         shape = (3, oh, ow, 2, k, k)
         x_shape = (3, 2, oh + k - 1, ow + k - 1)
-
-        def both_loops(dcols):
-            positions = np.ascontiguousarray(dcols.transpose(0, 1, 2, 4, 5, 3))
-            return E._col2im(dcols, x_shape), E._col2im_positions(positions, x_shape)
 
         finite = rng.normal(size=shape).astype(dtype)
         for special in ([0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan], [0.0, -0.0, np.nan, np.inf]):
@@ -403,13 +398,12 @@ class TestKernelsMatchReference:
             where = rng.random(shape) < 0.4
             dcols[where] = rng.choice(np.array(special, dtype), size=int(where.sum()))
             with np.errstate(invalid="ignore"):  # inf + -inf
-                got, ref = both_loops(dcols), reference_col2im(dcols, x_shape)
+                got, ref = E._col2im(dcols, x_shape, k), reference_col2im(dcols, x_shape)
             nan = np.isnan(ref)
-            for a in got:
-                assert np.array_equal(np.isnan(a), nan) and same_bits(a[~nan], ref[~nan])
-        assert all(same_bits(a, ref) for a in got)  # one NaN kind, no -inf
+            assert np.array_equal(np.isnan(got), nan) and same_bits(got[~nan], ref[~nan])
+        assert same_bits(got, ref)  # one NaN kind, no -inf
         zeros = np.full(shape, -0.0, dtype)
-        assert all(same_bits(a, np.zeros(x_shape, dtype)) for a in both_loops(zeros))
+        assert same_bits(E._col2im(zeros, x_shape, k), np.zeros(x_shape, dtype))
 
     @pytest.mark.parametrize("window, index_dtype", [
         (1, np.uint8), (2, np.uint8), (3, np.uint8), (16, np.uint8), (17, np.uint16),
