@@ -108,6 +108,9 @@ _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
 # how an int or float field's value is read from text (an INI value, a flag);
 # a str field takes the text as it is
 VALUE_TYPES = {"int": int, "float": float}
+# the Python types an override of each field type may hold, taken as they
+# are; a bool is an int to Python but no value of any field
+OVERRIDE_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 def run_flag(f: Field) -> str | None:
@@ -213,6 +216,11 @@ def parse_config(path: str | Path | None = None, overrides: dict | None = None
                 continue
             if key not in _FIELDS:
                 raise ConfigError(f"unknown config key '{key}'")
+            kind = _FIELDS[key].type
+            if isinstance(value, bool) or not isinstance(value, OVERRIDE_TYPES[kind]):
+                raise ConfigError(
+                    f"key '{key}': expected {kind}, got {type(value).__name__} {value!r}"
+                )
             values[key] = value
     return _validate(ExperimentConfig(**values))
 

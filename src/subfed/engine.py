@@ -283,33 +283,6 @@ class ForwardCache:
     params: ParamSet
 
 
-class Workspace:
-    """Scratch arrays that outlive one eval pass: named byte buffers, each
-    grown to the largest request, lent out as arrays of the shape and dtype
-    asked for. An array is valid until its name is requested again, so one
-    workspace serves one pass at a time."""
-
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-        buf = self.buffers.get(name)
-        if buf is None or buf.size < nbytes:
-            buf = self.buffers[name] = np.empty(nbytes, np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
-
-
-class _Fresh:
-    """The workspace of train mode and of a `forward` given none: a new
-    array for every request."""
-
-    @staticmethod
-    def array(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-
-_FRESH = _Fresh()
 # The most bytes of im2col columns one eval conv call gathers: eval runs the
 # conv stack in parts of the batch sized to it (`_eval_parts`).
 EVAL_COLUMN_BUDGET = 2 << 20
@@ -317,11 +290,10 @@ EVAL_COLUMN_BUDGET = 2 << 20
 # above this bound a row's bits do not depend on the call's row count
 # (tests/test_engine.py::TestBlasPathRule).
 BLAS_PATH_BOUND = 1280
-# Workspaces of finished evaluations, for the next one to borrow; list.pop
-# and list.append are atomic, so the threads of `federation.map_clients`
-# share it without a lock, and it holds at most as many workspaces as
-# evaluations that ever ran at once.
-_EVAL_WORKSPACES: list[Workspace] = []
+# The most examples `evaluate_accuracy` runs through one `forward`. The
+# batch sets the dense GEMMs' row count, and so their bits: changing it
+# changes results.
+EVAL_BATCH = 256
 
 
 @lru_cache(maxsize=32)
@@ -335,7 +307,7 @@ def _im2col_offsets(c: int, h: int, w: int, k: int) -> np.ndarray:
     return offsets
 
 
-def _conv_gemm(x, w, ws=_FRESH):
+def _conv_gemm(x, w):
     """Valid convolution without its bias, as one matmul over C-order im2col
     columns; returns the GEMM output in (n, oh, ow, o) layout and the columns.
 
@@ -343,33 +315,29 @@ def _conv_gemm(x, w, ws=_FRESH):
     instead of a strided copy in runs of k elements. They keep the C order,
     since BLAS's small-matrix kernels round a transposed operand differently.
     Every offset lies in [0, c*h*w), so the gather's "wrap" mode never wraps;
-    it only skips the per-index bounds check of the default mode. The
-    columns and the GEMM output come from `ws`.
+    it only skips the per-index bounds check of the default mode.
     """
     n, c, h, width = x.shape
     o, _, k, _ = w.shape
     oh, ow = h - k + 1, width - k + 1
     offsets = _im2col_offsets(c, h, width, k)
-    cols = np.take(x.reshape(n, c * h * width), offsets, axis=1, mode="wrap",
-                   out=ws.array("cols", (n, offsets.size), x.dtype))
+    cols = np.take(x.reshape(n, c * h * width), offsets, axis=1, mode="wrap")
     cols = cols.reshape(n * oh * ow, c * k * k)
-    dtype = np.result_type(x.dtype, w.dtype)
-    gemm = np.matmul(cols, w.reshape(o, -1).T, out=ws.array("gemm", (n * oh * ow, o), dtype))
+    gemm = cols @ w.reshape(o, -1).T
     return gemm.reshape(n, oh, ow, o), cols
 
 
-def _conv_forward(x, w, b, ws=_FRESH, out="y", pool=0):
+def _conv_forward(x, w, b, pool=0):
     """Valid convolution: `_conv_gemm`, then the bias added in the one copy
-    that transposes the GEMM output to NCHW `y` (from `ws`'s buffer named
-    `out`). With a `pool` window, the GEMM output is first max-pooled in its
-    own layout (`_window_max`); the GEMM output is dead once its row maxima
-    are taken, so the pooled values take its buffer."""
-    gemm, cols = _conv_gemm(x, w, ws)
+    that transposes the GEMM output to a C-order NCHW `y`. With a `pool`
+    window, the GEMM output is first max-pooled in its own layout
+    (`_window_max`)."""
+    gemm, cols = _conv_gemm(x, w)
     n, oh, ow, o = gemm.shape
     if pool:
         oh, ow = oh // pool, ow // pool
-        gemm = _window_max(gemm.reshape(n, oh, pool, ow, pool, o), ws, "gemm")
-    y = ws.array(out, (n, o, oh, ow), gemm.dtype)
+        gemm = _window_max(gemm.reshape(n, oh, pool, ow, pool, o))
+    y = np.empty((n, o, oh, ow), gemm.dtype)  # a bare `+` would keep gemm's layout
     np.add(gemm.transpose(0, 3, 1, 2), b[:, None, None], out=y)
     return y, cols
 
@@ -543,35 +511,32 @@ def _pool_forward(x, window):
     return np.take(x, _pool_offsets(idx, window, x.shape)), idx
 
 
-def _window_max(v, ws, out):
+def _window_max(v):
     """Window maxima of an (a, ph, window, pw, window, b) view, as eval
     needs them: the max over each window's rows, then over its columns, on
-    strided views of `v`; returns them as (a, ph, pw, b).
+    strided views of `v`; returns them as a C-order (a, ph, pw, b).
 
-    The rows and the maxima (from its buffer named `out`) come from `ws`,
-    the maxima taken only once the rows are, so `out` may name `v`'s own
-    buffer. Max is exact, so the maxima equal `_pool_forward`'s values as
-    real numbers, NaN in the same places; only the sign of a tied zero or a
-    NaN payload may differ.
+    Max is exact, so the maxima equal `_pool_forward`'s values as real
+    numbers, NaN in the same places; only the sign of a tied zero or a NaN
+    payload may differ.
     """
     a, ph, window, pw, _, b = v.shape
-    rows = np.maximum(v[:, :, 0], v[:, :, window - 1],
-                      out=ws.array("rows", (a, ph, pw, window, b), v.dtype))
+    rows = np.empty((a, ph, pw, window, b), v.dtype)
+    np.maximum(v[:, :, 0], v[:, :, window - 1], out=rows)
     for t in range(1, window - 1):
         np.maximum(rows, v[:, :, t], out=rows)
-    y = np.maximum(rows[:, :, :, 0], rows[:, :, :, window - 1],
-                   out=ws.array(out, (a, ph, pw, b), v.dtype))
+    y = np.empty((a, ph, pw, b), v.dtype)
+    np.maximum(rows[:, :, :, 0], rows[:, :, :, window - 1], out=y)
     for t in range(1, window - 1):
         np.maximum(y, rows[:, :, :, t], out=y)
     return y
 
 
-def _pool_max(x, window, ws=_FRESH, out="y"):
-    """Eval max pooling of NCHW `x` by `_window_max`, into `ws`'s buffer
-    named `out`; it shares no memory with `x` unless `out` names `x`'s."""
+def _pool_max(x, window):
+    """Eval max pooling of NCHW `x` by `_window_max`, into a new array."""
     n, c, h, w = x.shape
     ph, pw = h // window, w // window
-    return _window_max(x.reshape(n * c, ph, window, pw, window, 1), ws, out).reshape(n, c, ph, pw)
+    return _window_max(x.reshape(n * c, ph, window, pw, window, 1)).reshape(n, c, ph, pw)
 
 
 def _pool_backward(dy, idx, window, x_shape):
@@ -597,8 +562,7 @@ def _eval_parts(layers, n: int, itemsize: int) -> int:
     return max(1, min(-(-n // most), n // fewest))
 
 
-def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
-            workspace: Workspace | None = None):
+def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
     """Run the network on a (N,C,H,W) batch.
 
     In train mode batch-norm layers use batch statistics and update the running
@@ -606,13 +570,7 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     `backward` needs. Eval mode is a pure function, records nothing and does
     only inference work: batch norm in place and max pooling without an
     index. Neither mode writes to `batch`; the bias adds and the ReLU work in
-    place only on arrays this call allocated or took from its workspace.
-    Returns (logits, cache).
-
-    Eval mode may take a `workspace`: every conv, pool and ReLU array of the
-    pass then comes from it, the layer outputs from two buffers in turn, so
-    an output never overwrites its input. Logits that no dense layer makes
-    are the workspace's too, valid until its next use.
+    place only on arrays this call allocated. Returns (logits, cache).
 
     In eval mode a conv layer followed directly by max pooling pools its
     raw GEMM output (`_conv_forward`'s `pool`) where `_pools_first` admits
@@ -633,9 +591,6 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
             f"{spec.name}:input: expected batch of {spec.input_shape}, got {batch.shape}"
         )
     train = mode == "train"
-    if train and workspace is not None:
-        raise ValueError("a workspace serves eval mode only")
-    ws = _FRESH if workspace is None else workspace
     records = []
     keep = records.append if train else (lambda record: None)
     pools = {}  # conv index -> the window of the pool it runs itself
@@ -643,28 +598,27 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
     def walk(lo, hi, x, owned):
         """Layers [lo, hi) on `x`, which is this call's own array if `owned`;
         returns their output and whether it is owned."""
-        slot = 0  # the output buffer the next layer output takes
         for i in range(lo, hi):
             name, desc, _, _ = layers[i]
             if i - 1 in pools:
                 continue
             if isinstance(desc, Conv):
                 y, cols = _conv_forward(x, params[(name, ROLE_WEIGHT)], params[(name, ROLE_BIAS)],
-                                        ws, f"out{slot}", pools.get(i, 0))
+                                        pools.get(i, 0))
                 bn_cache = None
                 if desc.batch_norm:
                     y, bn_cache = _bn_forward(y, params, name, mode)
                 keep((name, desc, (x.shape, cols, bn_cache)))
-                x, owned, slot = y, True, 1 - slot
+                x, owned = y, True
             elif isinstance(desc, MaxPool):
                 if train:
                     y, idx = _pool_forward(x, desc.window)
                     keep((name, desc, (x.shape, idx)))
                 else:
-                    y = _pool_max(x, desc.window, ws, f"out{slot}")
-                x, owned, slot = y, True, 1 - slot
+                    y = _pool_max(x, desc.window)
+                x, owned = y, True
             elif isinstance(desc, Relu):
-                mask = np.greater(x, 0, out=ws.array("relu", x.shape, np.bool_))
+                mask = x > 0
                 keep((name, desc, mask))
                 if owned:
                     x *= mask
@@ -697,7 +651,7 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str,
             lo, hi = part * n // parts, (part + 1) * n // parts
             y, _ = walk(0, head, batch[lo:hi], False)
             if part == 0:
-                x, owned = ws.array("parts", (n, *y.shape[1:]), y.dtype), True
+                x, owned = np.empty((n, *y.shape[1:]), y.dtype), True
             x[lo:hi] = y
     x, _ = walk(head, len(layers), x, owned)
     return x, ForwardCache(mode, records, x, params)
@@ -790,30 +744,14 @@ def sgd_step(params: ParamSet, grads: ParamSet, opt: OptimizerState, mask=None) 
     return params
 
 
-def evaluate_accuracy(
-    spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarray, batch_size: int = 256
-) -> float:
-    """Eval-mode top-1 accuracy as a percentage.
-
-    The passes run in a workspace borrowed from the engine's free list and
-    returned to it, so the next evaluation reuses the scratch arrays instead
-    of freeing them to the allocator and faulting them back in.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
+def evaluate_accuracy(spec: ModelSpec, params: ParamSet, x: np.ndarray, y: np.ndarray) -> float:
+    """Eval-mode top-1 accuracy as a percentage, over batches of EVAL_BATCH."""
     if len(x) == 0:
         return 0.0
-    try:
-        ws = _EVAL_WORKSPACES.pop()
-    except IndexError:
-        ws = Workspace()
-    try:
-        correct = 0
-        for start in range(0, len(x), batch_size):
-            logits, _ = forward(spec, params, x[start:start + batch_size], "eval", ws)
-            correct += int((logits.argmax(axis=1) == y[start:start + batch_size]).sum())
-    finally:
-        _EVAL_WORKSPACES.append(ws)
+    correct = 0
+    for start in range(0, len(x), EVAL_BATCH):
+        logits, _ = forward(spec, params, x[start:start + EVAL_BATCH], "eval")
+        correct += int((logits.argmax(axis=1) == y[start:start + EVAL_BATCH]).sum())
     return 100.0 * correct / len(x)
 
 

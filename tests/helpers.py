@@ -121,16 +121,16 @@ def train_briefly(spec, params, x, y, epochs=8, batch_size=16, lr=0.05, seed=0):
     return params
 
 
-def block_score(spec: ModelSpec, params: ParamSet, blocks: dict, batch_size: int = 256
-                ) -> float:
+def block_score(spec: ModelSpec, params: ParamSet, blocks: dict) -> float:
     """A client's accuracy by its definition: `100 * sum(correct) / sum(n)`
     over its label blocks, each block scored alone in eval batches of
-    `evaluate_accuracy`'s default size."""
+    `engine.EVAL_BATCH`."""
+    batch = E.EVAL_BATCH
     correct = total = 0
     for x, y in blocks.values():
-        for s in range(0, len(x), batch_size):
-            logits, _ = E.forward(spec, params, x[s:s + batch_size], "eval")
-            correct += int((logits.argmax(axis=1) == y[s:s + batch_size]).sum())
+        for s in range(0, len(x), batch):
+            logits, _ = E.forward(spec, params, x[s:s + batch], "eval")
+            correct += int((logits.argmax(axis=1) == y[s:s + batch]).sum())
         total += len(y)
     return 100.0 * correct / total
 
@@ -257,11 +257,10 @@ def use_reference_kernels(monkeypatch) -> None:
     """Swap the reference kernels into the engine for the rest of a test.
 
     The reference conv backward always forms the input gradient; `backward`
-    drops it at the lowest parameter layer. The reference forward kernels
-    ignore a workspace and allocate. Given a `pool` window, the conv runs
-    with its bias, then the reference max pooling.
+    drops it at the lowest parameter layer. Given a `pool` window, the conv
+    runs with its bias, then the reference max pooling.
     """
-    def conv_forward(x, w, b, ws=None, out=None, pool=0):
+    def conv_forward(x, w, b, pool=0):
         y, cols = reference_conv_forward(x, w, b)
         return (reference_pool_forward(y, pool)[0] if pool else y), cols
 
@@ -271,8 +270,7 @@ def use_reference_kernels(monkeypatch) -> None:
         lambda dy, cols, w, x_shape, input_grad=True: reference_conv_backward(dy, cols, w, x_shape),
     )
     monkeypatch.setattr(E, "_pool_forward", reference_pool_forward)
-    monkeypatch.setattr(E, "_pool_max",
-                        lambda x, window, ws=None, out=None: reference_pool_forward(x, window)[0])
+    monkeypatch.setattr(E, "_pool_max", lambda x, window: reference_pool_forward(x, window)[0])
     monkeypatch.setattr(E, "_pool_backward", reference_pool_backward)
     monkeypatch.setattr(E, "_bn_forward", reference_bn_forward)
     monkeypatch.setattr(E, "_bn_backward", reference_bn_backward)

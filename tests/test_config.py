@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -185,6 +186,32 @@ class TestValidation:
         assert main(["run", "--dataset", "synthetic", "--out", str(out), "--quiet"]) == 1
         assert "config error: keys 'clients'/" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOverrideTypes:
+    """An override keeps its value as given, of a type its field takes: an
+    int field an int, a float field an int or a float, a str field a str;
+    no field a bool."""
+
+    @pytest.mark.parametrize("key, value, got", [
+        ("rounds", 2.5, "float 2.5"),
+        ("rounds", "5", "str '5'"),
+        ("rounds", True, "bool True"),
+        ("seed", 1.0, "float 1.0"),
+        ("learning_rate", "0.1", "str '0.1'"),
+        ("sampling_rate", False, "bool False"),
+        ("model", 5, "int 5"),
+    ])
+    def test_wrong_type_rejected(self, key, value, got):
+        kind = FIELDS[key].type
+        message = f"key '{key}': expected {kind}, got {got}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(overrides={**PAPER, key: value})
+
+    def test_int_for_a_float_kept_as_given(self):
+        cfg = parse_config(overrides={**PAPER, "sampling_rate": 1, "learning_rate": 0.5})
+        assert type(cfg.sampling_rate) is int and type(cfg.learning_rate) is float
+        assert "sampling_rate = 1\n" in config_to_ini(cfg)
 
 
 def below(x):

@@ -1,6 +1,6 @@
 import math
 import sys
-import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -263,22 +263,17 @@ class TestDeterminism:
         a, b = run(), run()
         assert all(np.array_equal(a[k], b[k]) for k in a.keys())
 
-    def test_evaluate_accuracy_batching_invariant(self):
+    def test_evaluate_accuracy_batching_invariant(self, monkeypatch):
         spec = tiny_dense_spec(6, 3)
         params = init_params(spec, 2)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(37, 1, 1, 6)).astype(np.float32)
         y = rng.integers(0, 3, size=37)
-        assert evaluate_accuracy(spec, params, x, y, batch_size=8) == evaluate_accuracy(
-            spec, params, x, y, batch_size=64
-        )
-
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_evaluate_accuracy_rejects_batch_size_below_one(self, batch_size):
-        spec = tiny_dense_spec(6, 3)
-        x = np.ones((5, 1, 1, 6), np.float32)
-        with pytest.raises(ValueError, match="batch_size must be positive"):
-            evaluate_accuracy(spec, init_params(spec, 2), x, np.zeros(5, int), batch_size)
+        scores = []
+        for batch in (8, 64):
+            monkeypatch.setattr(E, "EVAL_BATCH", batch)
+            scores.append(evaluate_accuracy(spec, params, x, y))
+        assert scores[0] == scores[1]
 
 
 def _check_conv(rng, x, o, k):
@@ -649,16 +644,15 @@ class TestEvalForwardMatchesReference:
         spec = SPECS[name]
         rng = np.random.default_rng(list(SPECS).index(name))
         params = _eval_params(spec, dtype, rng)
-        ws = E.Workspace()  # serves every size, growing and shrinking
         for n in (1, 3, 10, 100, 300, 7):
             x = _special_batch(spec, n, dtype, rng)
             ref = reference_eval_forward(spec, params, x)
-            for got, _ in (forward(spec, params, x, "eval"), forward(spec, params, x, "eval", ws)):
-                assert got.dtype == ref.dtype and got.shape == ref.shape
-                nan = np.isnan(ref)
-                assert np.array_equal(np.isnan(got), nan), (name, n)
-                assert np.array_equal(got[~nan], ref[~nan]), (name, n)
-                assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
+            got, _ = forward(spec, params, x, "eval")
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(got), nan), (name, n)
+            assert np.array_equal(got[~nan], ref[~nan]), (name, n)
+            assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
         # the special values reach the logits, and plain samples stay finite
         assert nan.any() and np.isfinite(ref).all(axis=1).any()
 
@@ -714,15 +708,14 @@ class TestEvalConvBlock:
         rng = np.random.default_rng(100 + list(SPECS).index(name))
         params = _block_params(spec, dtype, rng)
         ran = _spy_block(monkeypatch)
-        ws = E.Workspace()
         sizes = (1, 3, 10, 100, 7)
         for n in sizes:
             x = _special_batch(spec, n, dtype, rng)
             ref = reference_eval_forward(spec, params, x)
-            for got, _ in (forward(spec, params, x, "eval"), forward(spec, params, x, "eval", ws)):
-                _assert_same_reals(got, ref, (name, n))
-                assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
-        assert ran == _pooled_convs(spec) * 2 * len(sizes)
+            got, _ = forward(spec, params, x, "eval")
+            _assert_same_reals(got, ref, (name, n))
+            assert np.array_equal(got.argmax(axis=1), ref.argmax(axis=1)), (name, n)
+        assert ran == _pooled_convs(spec) * len(sizes)
 
     @pytest.mark.parametrize("model", BUILTIN_MODELS)
     def test_runs_on_every_builtin_model(self, model, monkeypatch):
@@ -748,7 +741,7 @@ class TestEvalConvBlock:
         params[("conv1", role)][3] = value
         ran = _spy_block(monkeypatch)
         x = _special_batch(spec, 40, dtype, rng)
-        got, _ = forward(spec, params, x, "eval", E.Workspace())
+        got, _ = forward(spec, params, x, "eval")
         _assert_same_reals(got, reference_eval_forward(spec, params, x), (role, value))
         assert ran == ["conv2"]
 
@@ -774,8 +767,8 @@ def _spy_conv_calls(monkeypatch):
     """(examples, M·N, column bytes) of every conv GEMM, call by call."""
     calls, gemm = [], E._conv_gemm
 
-    def spy(x, w, ws=E._FRESH):
-        y, cols = gemm(x, w, ws)
+    def spy(x, w):
+        y, cols = gemm(x, w)
         calls.append((len(x), y.size, cols.nbytes))
         return y, cols
 
@@ -809,7 +802,7 @@ class TestEvalParts:
             x = _special_batch(spec, n, dtype, rng)
             monkeypatch.setattr(E, "EVAL_COLUMN_BUDGET", budget)
             spied.clear()
-            got, _ = forward(spec, params, x, "eval", E.Workspace())
+            got, _ = forward(spec, params, x, "eval")
             calls = list(spied)
             _whole_batch(monkeypatch)
             ref, _ = forward(spec, params, x, "eval")
@@ -835,20 +828,26 @@ class TestEvalParts:
         assert len(calls) == 2 * parts
 
     @pytest.mark.parametrize("model", ["lenet5-cifar", "synth-cnn"])
-    def test_workspace_bytes_after_one_label_block(self, model, monkeypatch):
-        """One 50-example eval leaves `lenet5-cifar`'s workspace under 3 MiB
-        (13.5 MB as one part) and `synth-cnn`'s as large as one part."""
+    def test_peak_bytes_of_one_label_block(self, model, monkeypatch):
+        """One 50-example eval allocates at most 3 MiB at its peak on
+        `lenet5-cifar` (15.7 MB as one part), and as much on `synth-cnn`
+        as one part does. The first pass fills the offset caches."""
         spec = builtin_spec(model)
         params = init_params(spec, 0)
         x = np.random.default_rng(9).normal(size=(50, *spec.input_shape)).astype(np.float32)
 
-        def held(ws):
-            forward(spec, params, x, "eval", ws)
-            return sum(buf.nbytes for buf in ws.buffers.values())
+        def peak():
+            forward(spec, params, x, "eval")
+            tracemalloc.start()
+            try:
+                forward(spec, params, x, "eval")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        parts = held(E.Workspace())
+        parts = peak()
         _whole_batch(monkeypatch)
-        whole = held(E.Workspace())
+        whole = peak()
         if model == "synth-cnn":
             assert parts == whole
         else:
@@ -860,23 +859,23 @@ class TestWindowMax:
     """One window-max kernel pools NCHW layers (`_pool_max`) and conv GEMM
     outputs in their (n, oh, ow, o) layout (`_conv_forward`'s `pool`); both
     give the reference pooling's values as real numbers, NaN in the same
-    places. The inputs are `_special_batch`es of 12x12 images."""
+    places, in a C-order array. The inputs are `_special_batch`es of 12x12
+    images."""
 
-    @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_nchw(self, window, dtype, workspace):
+    def test_nchw(self, window, dtype):
         x = _special_batch(ModelSpec("nchw", (3, 12, 12), ()), 20, dtype,
                            np.random.default_rng(window))
         ref, _ = reference_pool_forward(x, window)
         assert np.isnan(ref).any() and np.isposinf(ref).any() and (ref == 0).any()
-        ws = E.Workspace() if workspace else E._FRESH
-        _assert_same_reals(E._pool_max(x, window, ws), ref, (window, dtype))
+        y = E._pool_max(x, window)
+        _assert_same_reals(y, ref, (window, dtype))
+        assert y.flags.c_contiguous
 
-    @pytest.mark.parametrize("workspace", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_gemm_layout(self, window, dtype, workspace):
+    def test_gemm_layout(self, window, dtype):
         """A 1x1 conv with power-of-two weights puts the specials, scaled
         exactly and of both signs, into every GEMM output channel."""
         rng = np.random.default_rng(10 + window)
@@ -885,9 +884,9 @@ class TestWindowMax:
         b = rng.normal(size=3).astype(dtype)
         ref, _ = reference_pool_forward(reference_conv_forward(x, w, b)[0], window)
         assert np.isnan(ref).any() and np.isposinf(ref).any()
-        ws = E.Workspace() if workspace else E._FRESH
-        y, _ = E._conv_forward(x, w, b, ws, pool=window)
+        y, _ = E._conv_forward(x, w, b, pool=window)
         _assert_same_reals(y, ref, (window, dtype))
+        assert y.flags.c_contiguous  # NCHW, as the next layer reads it
 
 
 def _reference_accuracy(spec, params, x, y):
@@ -918,55 +917,28 @@ def _eval_jobs(sizes, seed):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestEvaluateAccuracy:
-    """`evaluate_accuracy` runs in workspaces borrowed from the engine's free
-    list and scores what the reference layer walk scores at batch 256."""
+    """`evaluate_accuracy` scores what the reference layer walk scores at
+    batch 256, from any number of threads."""
 
-    def test_matches_reference(self, monkeypatch):
-        monkeypatch.setattr(E, "_EVAL_WORKSPACES", [])
+    def test_matches_reference(self):
         for spec, params, x, y in _eval_jobs((1, 255, 256, 257, 600), seed=30):
             assert evaluate_accuracy(spec, params, x, y) == _reference_accuracy(
                 spec, params, x, y), (spec.name, len(x))
-        assert len(E._EVAL_WORKSPACES) == 1  # one serial caller reuses one workspace
 
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_threads_share_the_free_list(self, threads, monkeypatch):
+    def test_threads_score_what_the_serial_run_scores(self, threads):
         """More threads than cores, switching often: every score equals the
-        serial one, so no two evaluations shared a workspace, and the free
-        list holds no more workspaces than evaluations ran at once."""
+        serial one."""
         jobs = _eval_jobs((1, 257, 40), seed=31)
         serial = [evaluate_accuracy(*job) for job in jobs]
-        free = []
-        monkeypatch.setattr(E, "_EVAL_WORKSPACES", free)
-        active = peak = 0
-        lock = threading.Lock()
-
-        def run(job):
-            nonlocal active, peak
-            with lock:
-                active += 1
-                peak = max(peak, active)
-            try:
-                return evaluate_accuracy(*job)
-            finally:
-                with lock:
-                    active -= 1
-
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with ThreadPoolExecutor(threads) as pool:
-                got = list(pool.map(run, jobs * 3, timeout=120))
+                got = list(pool.map(lambda job: evaluate_accuracy(*job), jobs * 3, timeout=120))
         finally:
             sys.setswitchinterval(interval)
         assert got == serial * 3
-        assert 1 <= len(free) <= peak <= threads
-        assert len({id(ws) for ws in free}) == len(free)
-
-    def test_train_mode_takes_no_workspace(self):
-        spec = SPECS["conv-conv"]
-        x = np.ones((2, *spec.input_shape), np.float32)
-        with pytest.raises(ValueError, match="eval mode only"):
-            forward(spec, init_params(spec, 0), x, "train", E.Workspace())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
