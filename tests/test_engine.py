@@ -854,32 +854,46 @@ class TestEvalParts:
             assert parts <= 3 << 20 < whole
 
 
+def _strided_copy(x):
+    """The values of `x` in a view that skips every other column."""
+    wide = np.zeros((*x.shape[:-1], 2 * x.shape[-1]), x.dtype)
+    wide[..., ::2] = x
+    view = wide[..., ::2]
+    assert not view.flags.c_contiguous
+    return view
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestWindowMax:
     """One window-max kernel pools NCHW layers (`_pool_max`) and conv GEMM
     outputs in their (n, oh, ow, o) layout (`_conv_forward`'s `pool`); both
     give the reference pooling's values as real numbers, NaN in the same
     places, in a C-order array. The inputs are `_special_batch`es of 12x12
-    images."""
+    images, in a C-order array or, `strided`, a view with gaps between its
+    columns."""
 
+    @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_nchw(self, window, dtype):
+    def test_nchw(self, window, dtype, strided):
         x = _special_batch(ModelSpec("nchw", (3, 12, 12), ()), 20, dtype,
                            np.random.default_rng(window))
+        x = _strided_copy(x) if strided else x
         ref, _ = reference_pool_forward(x, window)
         assert np.isnan(ref).any() and np.isposinf(ref).any() and (ref == 0).any()
         y = E._pool_max(x, window)
         _assert_same_reals(y, ref, (window, dtype))
         assert y.flags.c_contiguous
 
+    @pytest.mark.parametrize("strided", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
-    def test_gemm_layout(self, window, dtype):
+    def test_gemm_layout(self, window, dtype, strided):
         """A 1x1 conv with power-of-two weights puts the specials, scaled
         exactly and of both signs, into every GEMM output channel."""
         rng = np.random.default_rng(10 + window)
         x = _special_batch(ModelSpec("gemm", (1, 12, 12), ()), 20, dtype, rng)
+        x = _strided_copy(x) if strided else x
         w = np.array([1.0, -2.0, 0.5], dtype).reshape(3, 1, 1, 1)
         b = rng.normal(size=3).astype(dtype)
         ref, _ = reference_pool_forward(reference_conv_forward(x, w, b)[0], window)
