@@ -17,19 +17,15 @@ does not parse is a usage error naming the key.
 
 Run it from the root of two checkouts and diff the outputs to show that a
 change keeps results byte-identical. config.ini is left out: it records the
-output directory and the parallelism. BLAS is pinned to one thread, as in
-perfbench.
+output directory and the parallelism. BLAS runs on one thread, as in
+perfbench: `import subfed` pins it.
 """
 
 import argparse
 import hashlib
-import os
 import sys
 import tempfile
 from pathlib import Path
-
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is imported
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))

@@ -1,7 +1,9 @@
 """Federated learning with per-client subnetwork pruning."""
 
 from .config import ExperimentConfig, parse_config
-from .engine import ModelSpec, OptimizerState, ParamSet, builtin_spec, init_params
+from .engine import (
+    ModelSpec, OptimizerState, ParamSet, builtin_spec, init_params, pin_blas_threads,
+)
 from .federation import (
     ClientState,
     ClientUpdateResult,
@@ -18,6 +20,8 @@ from .pruning import (
     derive_unstructured_mask,
     mask_distance,
 )
+
+pin_blas_threads()  # results do not depend on the host's core count
 
 __all__ = [
     "ClientState",

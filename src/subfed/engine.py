@@ -8,10 +8,13 @@ and SGD with classical momentum. Everything is plain numpy so that a fixed
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -294,6 +297,36 @@ BLAS_PATH_BOUND = 1280
 # batch sets the dense GEMMs' row count, and so their bits: changing it
 # changes results.
 EVAL_BATCH = 256
+# What pins BLAS to one thread when the library cannot be set at run time.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_thread_setter():
+    """The `set_num_threads` function of the OpenBLAS bundled with numpy's
+    wheel (numpy.libs, or numpy/.dylibs on macOS), or None."""
+    numpy_dir = Path(np.__file__).parent
+    for path in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                        *numpy_dir.glob(".dylibs/*openblas*")]):
+        lib = ctypes.CDLL(str(path))  # the copy numpy loaded: same file, same handle
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)
+    return None
+
+
+def pin_blas_threads() -> None:
+    """Run BLAS on one thread. Threaded OpenBLAS splits GEMM reductions by
+    its thread count, so results would depend on the host's cores; the
+    client thread pool is the program's only parallelism. Where numpy's
+    OpenBLAS cannot be found, the environment must already pin one thread."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(ctypes.c_int(1))
+    elif any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARS):
+        raise RuntimeError(
+            "cannot set numpy's BLAS to one thread at run time; set "
+            + ", ".join(f"{var}=1" for var in BLAS_THREAD_VARS) + " before starting Python"
+        )
 
 
 @lru_cache(maxsize=32)

@@ -123,10 +123,8 @@ def make_client(
     `cfg.algorithm` prunes: the channels and fc layers for sub-fedavg-hy,
     every weight and bias otherwise."""
     params = theta0.copy()
-    if cfg.algorithm == "sub-fedavg-hy":
-        mask = dense_mask(params, fc_coverage(params), with_channels=True)
-    else:
-        mask = dense_mask(params, full_coverage(params))
+    hybrid = cfg.algorithm == "sub-fedavg-hy"
+    mask = dense_mask(params, (fc_coverage if hybrid else full_coverage)(params))
     return ClientState(
         client_id=client_id,
         x_train=x_train, y_train=y_train,

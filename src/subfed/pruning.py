@@ -30,16 +30,28 @@ class MaskCongruenceError(ValueError):
 class SparsityMask:
     """The positions a client keeps, as one bool vector `flat` in its params'
     `layout`; `bits` views the learnable tensors by key. `covered` names the
-    tensors the unstructured part governs; `channel_keep` maps each conv
-    layer to a bool per out-channel, or is None."""
+    weights and biases the unstructured part governs. A channel is kept
+    exactly when its BN-scale position is (`channel_keep`)."""
 
-    def __init__(self, bits: ParamSet, covered: Iterable[Key],
-                 channel_keep: dict[str, np.ndarray] | None = None):
+    def __init__(self, bits: ParamSet, covered: Iterable[Key]):
         """`bits` is a bool ParamSet laid out like the params."""
         self.layout, self.flat = bits.layout, bits.flat
         self.bits = dict(bits.learnable_items())
         self.covered = tuple(covered)
-        self.channel_keep = channel_keep
+        for key in self.covered:
+            if key[1] not in (ROLE_WEIGHT, ROLE_BIAS):
+                raise MaskCongruenceError(f"covered entry {key} is not a weight or bias")
+
+    @property
+    def channel_keep(self) -> dict[str, np.ndarray]:
+        """Each conv layer's bool per out-channel: a copy of its BN-scale bits,
+        or all kept for a conv layer without BN, which is never pruned."""
+        return {
+            layer: (self.bits[(layer, ROLE_BN_SCALE)].copy()
+                    if (layer, ROLE_BN_SCALE) in self.bits
+                    else np.ones(self.layout.shapes[(layer, ROLE_WEIGHT)][0], dtype=bool))
+            for layer in _conv_layers(self)
+        }
 
     def bit_length(self) -> int:
         return self.layout.n_learnable
@@ -56,22 +68,23 @@ class SparsityMask:
         return _zero_fraction(self.flat[self.layout.positions(self.covered)])
 
     def channel_sparsity(self) -> float:
-        channels = (self.channel_keep or {}).values()
-        return _zero_fraction(np.concatenate([np.ones(0, dtype=bool), *channels]))
+        return _zero_fraction(_channel_bits(self))
 
     def copy(self) -> "SparsityMask":
-        keep = None
-        if self.channel_keep is not None:
-            keep = {n: v.copy() for n, v in self.channel_keep.items()}
-        return SparsityMask(ParamSet.over(self.layout, self.flat.copy()), self.covered, keep)
+        return SparsityMask(ParamSet.over(self.layout, self.flat.copy()), self.covered)
 
 
 def _zero_fraction(bits: np.ndarray) -> float:
     return (bits.size - int(np.count_nonzero(bits))) / bits.size if bits.size else 0.0
 
 
-def _conv_layers(params: ParamSet) -> list[str]:
-    return [k[0] for k, v in params.items() if k[1] == ROLE_WEIGHT and v.ndim == 4]
+def _conv_layers(of: ParamSet | SparsityMask) -> list[str]:
+    return [k[0] for k, s in of.layout.shapes.items() if k[1] == ROLE_WEIGHT and len(s) == 4]
+
+
+def _channel_bits(mask: SparsityMask) -> np.ndarray:
+    """Every conv layer's `channel_keep`, concatenated in layer order."""
+    return np.concatenate([np.ones(0, dtype=bool), *mask.channel_keep.values()])
 
 
 def full_coverage(params: ParamSet) -> tuple[Key, ...]:
@@ -97,7 +110,7 @@ def _channel_mask(params: ParamSet, channel_keep: dict[str, np.ndarray],
                   covered: tuple[Key, ...] = ()) -> SparsityMask:
     """The mask keeping every position but those of pruned channels: their
     filter, bias, BN parameters and running statistics, and the next conv
-    layer's input slices. Holds a copy of `channel_keep`."""
+    layer's input slices."""
     kept = _all_kept(params)
     convs = _conv_layers(params)
     for i, layer in enumerate(convs):
@@ -116,20 +129,12 @@ def _channel_mask(params: ParamSet, channel_keep: dict[str, np.ndarray],
                     f"{layer} output channels {keep.size}"
                 )
             kept[nxt][:, pruned] = False
-    return SparsityMask(kept, covered, {n: v.copy() for n, v in channel_keep.items()})
+    return SparsityMask(kept, covered)
 
 
-def _all_channels(params: ParamSet) -> dict[str, np.ndarray]:
-    return {layer: np.ones(params[(layer, ROLE_BIAS)].size, dtype=bool)
-            for layer in _conv_layers(params)}
-
-
-def dense_mask(params: ParamSet, covered: Iterable[Key] | None = None,
-               with_channels: bool = False) -> SparsityMask:
+def dense_mask(params: ParamSet, covered: Iterable[Key] | None = None) -> SparsityMask:
     """All-ones mask; starting point for every client."""
     covered = tuple(covered) if covered is not None else full_coverage(params)
-    if with_channels:
-        return _channel_mask(params, _all_channels(params), covered)
     return SparsityMask(_all_kept(params), covered)
 
 
@@ -181,7 +186,7 @@ def derive_unstructured_mask(
         ties = np.flatnonzero(pooled == kth)
         keep[ties[k - int((pooled < kth).sum()):]] = True
         kept.flat[domain] = keep
-    return SparsityMask(kept, covered, None)
+    return SparsityMask(kept, covered)
 
 
 def derive_channel_mask(params: ParamSet, fraction: float) -> SparsityMask:
@@ -198,7 +203,7 @@ def derive_channel_mask(params: ParamSet, fraction: float) -> SparsityMask:
     bn_layers = [c for c in convs if (c, ROLE_BN_SCALE) in params]
     if not bn_layers:
         raise MaskCongruenceError("channel pruning needs at least one BN layer")
-    channel_keep = _all_channels(params)
+    channel_keep = dense_mask(params, ()).channel_keep
     scales = np.concatenate([np.abs(params[(c, ROLE_BN_SCALE)]) for c in bn_layers])
     owners = [(layer, idx) for layer in bn_layers
               for idx in range(params[(layer, ROLE_BN_SCALE)].size)]
@@ -221,8 +226,6 @@ def derive_channel_mask(params: ParamSet, fraction: float) -> SparsityMask:
 def combine_masks(channel_part: SparsityMask, unstructured_part: SparsityMask,
                   params: ParamSet) -> SparsityMask:
     """Hybrid composition: channel-induced zeros AND the unstructured bitmap."""
-    if channel_part.channel_keep is None:
-        raise MaskCongruenceError("first argument must carry a channel keep-set")
     mask = _channel_mask(params, channel_part.channel_keep, unstructured_part.covered)
     domain = params.layout.positions(unstructured_part.covered)
     mask.flat[domain] &= unstructured_part.flat[domain]
@@ -231,8 +234,6 @@ def combine_masks(channel_part: SparsityMask, unstructured_part: SparsityMask,
 
 def channel_component(mask: SparsityMask, params: ParamSet) -> SparsityMask:
     """The structured part of a (possibly combined) mask, rebuilt standalone."""
-    if mask.channel_keep is None:
-        raise MaskCongruenceError("mask has no channel part")
     return _channel_mask(params, mask.channel_keep)
 
 
@@ -241,7 +242,7 @@ def unstructured_component(mask: SparsityMask, params: ParamSet) -> SparsityMask
     kept = _all_kept(params)
     domain = params.layout.positions(mask.covered)
     kept.flat[domain] = mask.flat[domain]
-    return SparsityMask(kept, mask.covered, None)
+    return SparsityMask(kept, mask.covered)
 
 
 def mask_distance(a: SparsityMask, b: SparsityMask) -> float:
@@ -257,13 +258,10 @@ def mask_distance(a: SparsityMask, b: SparsityMask) -> float:
             raise MaskCongruenceError("masks govern different unstructured domains")
         domain = a.layout.positions(a.covered)
         return int(np.count_nonzero(a.flat[domain] != b.flat[domain])) / domain.size
-    if a.channel_keep is not None and b.channel_keep is not None:
-        if list(a.channel_keep.keys()) != list(b.channel_keep.keys()):
-            raise MaskCongruenceError("masks cover different conv layers")
-        keep_a = np.concatenate(list(a.channel_keep.values()))
-        keep_b = np.concatenate(list(b.channel_keep.values()))
-        return int(np.count_nonzero(keep_a != keep_b)) / keep_a.size
-    raise MaskCongruenceError("masks govern no common domain")
+    keep_a, keep_b = _channel_bits(a), _channel_bits(b)
+    if not keep_a.size:
+        raise MaskCongruenceError("masks govern no common domain")
+    return int(np.count_nonzero(keep_a != keep_b)) / keep_a.size
 
 
 def apply_mask(params: ParamSet, mask: SparsityMask) -> ParamSet:

@@ -292,11 +292,11 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def reference_keep(mask, key, shape):
     """Bool array, broadcastable to `shape`, of the positions of tensor
     `key` the mask keeps: the bitmap of a learnable tensor, the channel
-    keep-set for a running statistic of a channel-masked conv layer, and
-    every position of any other tensor."""
+    keep-set for a running statistic of a conv layer, and every position of
+    any other tensor."""
     if key[1] in E.LEARNABLE_ROLES:
         return mask.bits[key]
-    if mask.channel_keep is not None and key[0] in mask.channel_keep:
+    if key[0] in mask.channel_keep:
         return mask.channel_keep[key[0]]
     return np.ones(shape, dtype=bool)
 

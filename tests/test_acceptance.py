@@ -143,7 +143,7 @@ class TestC03AggregationOracle:
                     {("fc1", "weight"): rng.normal(size=size).astype(np.float32)}
                 )
                 bits = ParamSet({("fc1", "weight"): rng.integers(0, 2, size=size).astype(bool)})
-                mask = SparsityMask(bits, full_coverage(params), None)
+                mask = SparsityMask(bits, full_coverage(params))
                 results.append(ClientUpdateResult(
                     client_id=cid, params=params, mask=mask,
                     validation_accuracy=0.0, local_accuracy=0.0,

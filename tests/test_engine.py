@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1095,3 +1098,45 @@ class TestBlasPathRule:
         a = rng.standard_normal((256, 50)).astype(np.float32)
         w = rng.standard_normal((10, 50)).astype(np.float32)
         assert not same_bits(a[:100] @ w.T, (a @ w.T)[:100])
+
+
+class TestBlasThreads:
+    """`import subfed` runs BLAS on one thread, so results do not depend on
+    the host's core count or on the thread variables."""
+
+    PROBE = "\n".join((
+        "import hashlib, numpy as np, subfed",
+        "from subfed.engine import *",
+        "spec, opt = builtin_spec('cnn5-mnist'), OptimizerState(0.01, 0.5)",
+        "params, rng = init_params(spec, 1), np.random.default_rng(1)",
+        "for _ in range(3):",
+        "    x = rng.normal(size=(10, *spec.input_shape)).astype(np.float32)",
+        "    cache = forward(spec, params, x, 'train')[1]",
+        "    sgd_step(params, backward(cache, rng.integers(0, 10, size=10))[1], opt)",
+        "print(hashlib.sha256(params.flat.tobytes()).hexdigest())",
+    ))
+
+    def test_train_steps_do_not_depend_on_the_thread_variables(self):
+        # cnn5-mnist's conv2 weight gradient changes bits under two OpenBLAS
+        # threads at batch 10 unless the library is held at one
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = set()
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+            env["PYTHONPATH"] = src
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", self.PROBE], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1, digests
+
+    def test_without_a_settable_blas_the_environment_must_pin_one_thread(self, monkeypatch):
+        monkeypatch.setattr(E, "_blas_thread_setter", lambda: None)
+        for var in E.BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        E.pin_blas_threads()
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        with pytest.raises(RuntimeError, match="OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=1"):
+            E.pin_blas_threads()

@@ -51,7 +51,7 @@ def test_every_public_name_resolves():
 def result_from(client_id, values, keep):
     params = ParamSet({("fc1", "weight"): np.asarray(values, dtype=np.float32)})
     bits = ParamSet({("fc1", "weight"): np.asarray(keep, dtype=bool)})
-    return result_of(client_id, params, SparsityMask(bits, full_coverage(params), None))
+    return result_of(client_id, params, SparsityMask(bits, full_coverage(params)))
 
 
 def result_of(client_id, params, mask):
@@ -262,10 +262,7 @@ class TestKeepRule:
         all_stats = ParamSet.over(self.params.layout, self.mask.flat.copy())
         for key in self.stat_keys():
             all_stats[key][...] = True
-        every_channel = SparsityMask(
-            all_stats, self.mask.covered,
-            {layer: np.ones_like(keep) for layer, keep in self.mask.channel_keep.items()},
-        )
+        every_channel = SparsityMask(all_stats, self.mask.covered)
         kept_learnables = sum(int(bits.sum()) for bits in self.mask.bits.values())
         stats = sum(v.size for k, v in self.params.items() if k[1] in self.STATS)
         assert retained_scalar_count(self.params, every_channel) == kept_learnables + stats
@@ -276,7 +273,7 @@ class TestKeepRule:
 
     def test_aggregation_averages_statistics_over_keepers_only(self):
         prev, a, b, c = (self.with_fresh_stats(self.params) for _ in range(4))
-        every_channel = dense_mask(self.params, fc_coverage(self.params), with_channels=True)
+        every_channel = dense_mask(self.params, fc_coverage(self.params))
         pruner_a = result_of(0, a, self.mask)
         keeper_b = result_of(1, b, every_channel)
         pruner_c = result_of(2, c, self.mask)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from subfed import engine as E
 from subfed.engine import ParamSet, builtin_spec, init_params
+from subfed.metrics import conv_flops
 from subfed.pruning import (
     MaskCongruenceError,
     SparsityMask,
@@ -143,6 +144,27 @@ class TestUnstructured:
         assert all(not layer.startswith("conv") for layer, _ in cov)
         full = full_coverage(params)
         assert all(role in ("weight", "bias") for _, role in full)
+
+    def test_covered_domain_holds_only_weights_and_biases(self):
+        # BN-scale bits are the channel keep-sets; unstructured pruning must
+        # not clear them, nor zero running statistics
+        params = init_params(builtin_spec("synth-cnn"), 0)
+        with pytest.raises(MaskCongruenceError, match="bn_scale"):
+            derive_unstructured_mask(params, 50, [("conv1", "bn_scale")])
+        kept = ParamSet.over(params.layout, np.ones(params.layout.size, dtype=bool))
+        with pytest.raises(MaskCongruenceError, match="bn_running_var"):
+            SparsityMask(kept, [("fc1", "weight"), ("conv1", "bn_running_var")])
+
+    def test_unstructured_masks_keep_every_channel(self):
+        for model in ("cnn5-mnist", "lenet5-cifar", "synth-cnn"):
+            spec = builtin_spec(model)
+            params = init_params(spec, 0)
+            mask = derive_unstructured_mask(params, 50)
+            assert mask.covered_sparsity() >= 0.49, model
+            assert all(keep.all() for keep in mask.channel_keep.values()), model
+            assert mask.channel_sparsity() == 0.0, model
+            flops = conv_flops(spec, mask.channel_keep)
+            assert flops.current_total == flops.dense_total, model
 
 
 class TestChannel:
