@@ -18,10 +18,12 @@ does not parse is a usage error naming the key.
 Run it from the root of two checkouts and diff the outputs to show that a
 change keeps results byte-identical. config.ini is left out: it records the
 output directory and the parallelism. BLAS runs on one thread, as in
-perfbench: `import subfed` pins it.
+perfbench: `import subfed` pins it. tests/test_artifact_digests.py checks
+four variants of these lines against tests/digest_pins.json.
 """
 
 import argparse
+import ctypes
 import hashlib
 import sys
 import tempfile
@@ -31,8 +33,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402  perfbench/workloads.py
 from subfed.config import ConfigError, parse_config, parse_value  # noqa: E402
+from subfed.engine import openblas_function  # noqa: E402
 from subfed.experiment import run_experiment  # noqa: E402
 
 ARTIFACTS = (
@@ -69,27 +73,45 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def environment_key() -> str:
+    """The numpy version and the build and CPU kernels of numpy's OpenBLAS,
+    which a run's bits depend on."""
+    get_config = openblas_function("get_config")
+    if get_config is None:
+        return f"numpy {np.__version__}; no bundled OpenBLAS"
+    get_config.restype = ctypes.c_char_p
+    return f"numpy {np.__version__}; {get_config().decode()}"
+
+
+def digest_lines(names, seeds, parallelism=None, settings=()):
+    """Run each workload in `names` at each seed, with `parallelism` (None:
+    the workload's own) and the config `settings` (KEY, VALUE pairs) on top,
+    and yield one line per artifact. Raises ConfigError for a bad setting."""
+    echo = "".join(f" {key}={value}" for key, value in settings)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            for seed in seeds:
+                overrides = workloads.overrides(name, seed, tmp)
+                if parallelism is not None:
+                    overrides["parallelism"] = parallelism
+                overrides.update(settings)
+                run_dir = run_experiment(parse_config(overrides=overrides))
+                for artifact in ARTIFACTS:
+                    sha = hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest()
+                    yield (f"{name} seed={seed} parallelism={overrides['parallelism']}"
+                           f"{echo} {artifact} {sha}")
+
+
 def main() -> int:
     ap = build_parser()
     args = ap.parse_args()
-    echo = "".join(f" {key}={value}" for key, value in args.settings)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in args.workload or sorted(workloads.WORKLOADS):
-            for seed in args.seed or DEFAULT_SEEDS:
-                overrides = workloads.overrides(name, seed, tmp)
-                if args.parallelism is not None:
-                    overrides["parallelism"] = args.parallelism
-                overrides.update(args.settings)
-                try:
-                    cfg = parse_config(overrides=overrides)
-                except ConfigError as exc:
-                    ap.error(str(exc))
-                run_dir = run_experiment(cfg)
-                for artifact in ARTIFACTS:
-                    sha = hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest()
-                    print(f"{name} seed={seed} parallelism={overrides['parallelism']}"
-                          f"{echo} {artifact} {sha}", flush=True)
+    lines = digest_lines(args.workload or sorted(workloads.WORKLOADS),
+                         args.seed or DEFAULT_SEEDS, args.parallelism, args.settings)
+    try:
+        for line in lines:
+            print(line, flush=True)
+    except ConfigError as exc:
+        ap.error(str(exc))
     return 0
 
 

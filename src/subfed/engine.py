@@ -301,17 +301,21 @@ EVAL_BATCH = 256
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _blas_thread_setter():
-    """The `set_num_threads` function of the OpenBLAS bundled with numpy's
-    wheel (numpy.libs, or numpy/.dylibs on macOS), or None."""
+def openblas_function(stem: str):
+    """`scipy_openblas_<stem>` (64-bit or 32-bit interface) of the OpenBLAS
+    bundled with numpy's wheel (numpy.libs, or numpy/.dylibs on macOS), or None."""
     numpy_dir = Path(np.__file__).parent
     for path in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"),
                         *numpy_dir.glob(".dylibs/*openblas*")]):
         lib = ctypes.CDLL(str(path))  # the copy numpy loaded: same file, same handle
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+        for name in (f"scipy_openblas_{stem}64_", f"scipy_openblas_{stem}"):
             if hasattr(lib, name):
                 return getattr(lib, name)
     return None
+
+
+def _blas_thread_setter():
+    return openblas_function("set_num_threads")
 
 
 def pin_blas_threads() -> None:
