@@ -154,19 +154,12 @@ def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
             f"dataset {cfg.dataset!r} needs a data root: set [data] data_root, "
             f"--data-root, or ${DATA_ROOT_ENV}"
         )
-    from .engine import Conv, SpecError, builtin_spec
+    from .engine import SpecError, builtin_spec
 
     try:
-        spec = builtin_spec(cfg.resolved_model())
+        builtin_spec(cfg.resolved_model())
     except SpecError as exc:
         raise ConfigError(f"key 'model': {exc}") from exc
-    if cfg.algorithm == "sub-fedavg-hy" and not any(
-        isinstance(d, Conv) and d.batch_norm for d in spec.layers
-    ):
-        reject(
-            f"key 'algorithm': sub-fedavg-hy needs a model with BN conv layers, "
-            f"and {spec.name!r} has none"
-        )
     if cfg.dataset == "synthetic":  # the split sizes of a file dataset show when it is read
         train = cfg.synth_per_class - cfg.synth_test_per_class  # per class
         if train < 1:

@@ -1,6 +1,6 @@
 """Minimal deterministic neural-network engine.
 
-Dense NCHW tensors, valid-padding convolutions with optional batch norm,
+Dense NCHW tensors, valid-padding convolutions each followed by batch norm,
 2x2-style max pooling, ReLU, fully connected layers, softmax cross-entropy,
 and SGD with classical momentum. Everything is plain numpy so that a fixed
 (spec, seed, data order) reproduces a bitwise-identical training trajectory.
@@ -52,10 +52,11 @@ class LabelError(ValueError):
 
 @dataclass(frozen=True)
 class Conv:
+    """A valid-padding convolution and the batch norm of its output."""
+
     in_channels: int
     out_channels: int
     kernel: int
-    batch_norm: bool = False
 
 
 @dataclass(frozen=True)
@@ -258,13 +259,12 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ParamSet:
             limit = math.sqrt(6.0 / (fan_in + fan_out))
             shape = (desc.out_channels, desc.in_channels, desc.kernel, desc.kernel)
             entries[(name, ROLE_WEIGHT)] = rng.uniform(-limit, limit, shape).astype(dtype)
-            entries[(name, ROLE_BIAS)] = np.zeros(desc.out_channels, dtype=dtype)
-            if desc.batch_norm:
-                c = desc.out_channels
-                entries[(name, ROLE_BN_SCALE)] = np.ones(c, dtype=dtype)
-                entries[(name, ROLE_BN_SHIFT)] = np.zeros(c, dtype=dtype)
-                entries[(name, ROLE_BN_MEAN)] = np.zeros(c, dtype=dtype)
-                entries[(name, ROLE_BN_VAR)] = np.ones(c, dtype=dtype)
+            c = desc.out_channels
+            entries[(name, ROLE_BIAS)] = np.zeros(c, dtype=dtype)
+            entries[(name, ROLE_BN_SCALE)] = np.ones(c, dtype=dtype)
+            entries[(name, ROLE_BN_SHIFT)] = np.zeros(c, dtype=dtype)
+            entries[(name, ROLE_BN_MEAN)] = np.zeros(c, dtype=dtype)
+            entries[(name, ROLE_BN_VAR)] = np.ones(c, dtype=dtype)
         elif isinstance(desc, Dense):
             limit = math.sqrt(6.0 / (desc.in_features + desc.out_features))
             shape = (desc.out_features, desc.in_features)
@@ -314,16 +314,12 @@ def openblas_function(stem: str):
     return None
 
 
-def _blas_thread_setter():
-    return openblas_function("set_num_threads")
-
-
 def pin_blas_threads() -> None:
     """Run BLAS on one thread. Threaded OpenBLAS splits GEMM reductions by
     its thread count, so results would depend on the host's cores; the
     client thread pool is the program's only parallelism. Where numpy's
     OpenBLAS cannot be found, the environment must already pin one thread."""
-    setter = _blas_thread_setter()
+    setter = openblas_function("set_num_threads")
     if setter is not None:
         setter(ctypes.c_int(1))
     elif any(os.environ.get(var) != "1" for var in BLAS_THREAD_VARS):
@@ -379,20 +375,18 @@ def _conv_forward(x, w, b, pool=0):
     return y, cols
 
 
-def _pools_first(params, name, desc, dtype) -> bool:
-    """Whether max pooling may run before this eval conv layer's bias add and
-    batch norm. Each of those steps is a correctly rounded map of one value,
-    non-decreasing, sending ±inf to ±inf and no number to NaN, when the bias,
-    shift and running mean are finite and the scale and `inv` are finite and
-    positive. Then the window max of the mapped values is the mapped window
-    max as a real number, NaN in the same places."""
-    finite = [params[(name, ROLE_BIAS)]]
-    if desc.batch_norm:
-        positive = [params[(name, ROLE_BN_SCALE)], _bn_inv(params, name, dtype)]
-        if not all((v > 0).all() for v in positive):
-            return False
-        finite += [params[(name, ROLE_BN_SHIFT)], params[(name, ROLE_BN_MEAN)], *positive]
-    return all(np.isfinite(v).all() for v in finite)
+def _pools_first(params, name, dtype) -> bool:
+    """Whether max pooling may run before eval conv layer `name`'s bias add
+    and batch norm. Each of those steps is a correctly rounded map of one
+    value, non-decreasing, sending ±inf to ±inf and no number to NaN, when
+    the bias, shift and running mean are finite and the scale and `inv` are
+    finite and positive. Then the window max of the mapped values is the
+    mapped window max as a real number, NaN in the same places."""
+    positive = [params[(name, ROLE_BN_SCALE)], _bn_inv(params, name, dtype)]
+    finite = [params[(name, ROLE_BIAS)], params[(name, ROLE_BN_SHIFT)],
+              params[(name, ROLE_BN_MEAN)], *positive]
+    return (all((v > 0).all() for v in positive)
+            and all(np.isfinite(v).all() for v in finite))
 
 
 def _conv_backward(dy, cols, w, x_shape, input_grad=True):
@@ -602,8 +596,8 @@ def _eval_parts(layers, n: int, itemsize: int) -> int:
 def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
     """Run the network on a (N,C,H,W) batch.
 
-    In train mode batch-norm layers use batch statistics and update the running
-    statistics stored in `params` in place, and the cache records what
+    In train mode each conv's batch norm uses batch statistics and updates the
+    running statistics stored in `params` in place, and the cache records what
     `backward` needs. Eval mode is a pure function, records nothing and does
     only inference work: batch norm in place and max pooling without an
     index. Neither mode writes to `batch`; the bias adds and the ReLU work in
@@ -642,9 +636,7 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
             if isinstance(desc, Conv):
                 y, cols = _conv_forward(x, params[(name, ROLE_WEIGHT)], params[(name, ROLE_BIAS)],
                                         pools.get(i, 0))
-                bn_cache = None
-                if desc.batch_norm:
-                    y, bn_cache = _bn_forward(y, params, name, mode)
+                y, bn_cache = _bn_forward(y, params, name, mode)
                 keep((name, desc, (x.shape, cols, bn_cache)))
                 x, owned = y, True
             elif isinstance(desc, MaxPool):
@@ -676,7 +668,7 @@ def forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray, mode: str):
         dtype = np.result_type(batch.dtype, params.flat.dtype)
         for i, ((name, desc, _, _), (_, nxt, _, _)) in enumerate(zip(layers, layers[1:])):
             if (isinstance(desc, Conv) and isinstance(nxt, MaxPool)
-                    and _pools_first(params, name, desc, dtype)):
+                    and _pools_first(params, name, dtype)):
                 pools[i] = nxt.window
         head = next((i for i, (_, desc, _, _) in enumerate(layers) if isinstance(desc, Flatten)),
                     head)
@@ -747,10 +739,9 @@ def backward(cache: ForwardCache, labels: np.ndarray):
             dx = _pool_backward(dx, idx, desc.window, x_shape)
         elif isinstance(desc, Conv):
             x_shape, cols, bn_cache = rec
-            if desc.batch_norm:
-                dx, dscale, dshift = _bn_backward(dx, bn_cache)
-                grads[(name, ROLE_BN_SCALE)][...] = dscale
-                grads[(name, ROLE_BN_SHIFT)][...] = dshift
+            dx, dscale, dshift = _bn_backward(dx, bn_cache)
+            grads[(name, ROLE_BN_SCALE)][...] = dscale
+            grads[(name, ROLE_BN_SHIFT)][...] = dshift
             dx, dw, db = _conv_backward(
                 dx, cols, params[(name, ROLE_WEIGHT)], x_shape, input_grad
             )
@@ -802,10 +793,10 @@ CNN5_MNIST = ModelSpec(
     name="cnn5-mnist",
     input_shape=(1, 32, 32),
     layers=(
-        Conv(1, 10, 5, batch_norm=True),
+        Conv(1, 10, 5),
         MaxPool(2),
         Relu(),
-        Conv(10, 20, 5, batch_norm=True),
+        Conv(10, 20, 5),
         MaxPool(2),
         Relu(),
         Flatten(),
@@ -820,10 +811,10 @@ LENET5_CIFAR = ModelSpec(
     name="lenet5-cifar",
     input_shape=(3, 32, 32),
     layers=(
-        Conv(3, 6, 5, batch_norm=True),
+        Conv(3, 6, 5),
         MaxPool(2),
         Relu(),
-        Conv(6, 16, 5, batch_norm=True),
+        Conv(6, 16, 5),
         MaxPool(2),
         Relu(),
         Flatten(),
@@ -840,10 +831,10 @@ SYNTH_CNN = ModelSpec(
     name="synth-cnn",
     input_shape=(1, 20, 20),
     layers=(
-        Conv(1, 8, 5, batch_norm=True),
+        Conv(1, 8, 5),
         MaxPool(2),
         Relu(),
-        Conv(8, 16, 5, batch_norm=True),
+        Conv(8, 16, 5),
         MaxPool(2),
         Relu(),
         Flatten(),

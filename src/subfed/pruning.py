@@ -1,8 +1,8 @@
 """Subnetwork masks: magnitude pruning, BN-scale channel pruning, the prune gate.
 
 A SparsityMask is one bool vector laid out like its params (`engine.Layout`):
-the bitmap at each learnable position, the owning channel's keep bit (or 1)
-at each running statistic. Masking, exchange counting and aggregation are
+the bitmap at each learnable position, the owning channel's keep bit at
+each running statistic. Masking, exchange counting and aggregation are
 elementwise operations on it. A pruned channel zeroes its filter, bias, BN
 parameters and running statistics, and the next conv layer's input slices.
 """
@@ -44,14 +44,8 @@ class SparsityMask:
 
     @property
     def channel_keep(self) -> dict[str, np.ndarray]:
-        """Each conv layer's bool per out-channel: a copy of its BN-scale bits,
-        or all kept for a conv layer without BN, which is never pruned."""
-        return {
-            layer: (self.bits[(layer, ROLE_BN_SCALE)].copy()
-                    if (layer, ROLE_BN_SCALE) in self.bits
-                    else np.ones(self.layout.shapes[(layer, ROLE_WEIGHT)][0], dtype=bool))
-            for layer in _conv_layers(self)
-        }
+        """Each conv layer's bool per out-channel: a copy of its BN-scale bits."""
+        return {layer: self.bits[(layer, ROLE_BN_SCALE)].copy() for layer in _conv_layers(self)}
 
     def bit_length(self) -> int:
         return self.layout.n_learnable
@@ -190,26 +184,22 @@ def derive_unstructured_mask(
 
 
 def derive_channel_mask(params: ParamSet, fraction: float) -> SparsityMask:
-    """Prune floor(fraction% of the channels of the BN conv layers), lowest
+    """Prune floor(fraction% of the channels of every conv layer), lowest
     |BN scale| first.
 
-    Scales pool across every BN layer; ties break by (layer order, channel
-    index); each BN conv layer always keeps at least one channel. A conv
-    layer without BN has no scale to rank, so all of its channels are kept.
+    Scales pool across every conv layer; ties break by (layer order, channel
+    index); each conv layer always keeps at least one channel.
     """
     if not 0 <= fraction < 100:
         raise ValueError(f"fraction must lie in [0, 100), got {fraction}")
     convs = _conv_layers(params)
-    bn_layers = [c for c in convs if (c, ROLE_BN_SCALE) in params]
-    if not bn_layers:
-        raise MaskCongruenceError("channel pruning needs at least one BN layer")
-    channel_keep = dense_mask(params, ()).channel_keep
-    scales = np.concatenate([np.abs(params[(c, ROLE_BN_SCALE)]) for c in bn_layers])
-    owners = [(layer, idx) for layer in bn_layers
-              for idx in range(params[(layer, ROLE_BN_SCALE)].size)]
-    total = scales.size
-    k = int(math.floor(fraction * total / 100 + 1e-9))
-    remaining = {layer: int(channel_keep[layer].sum()) for layer in bn_layers}
+    if not convs:
+        raise MaskCongruenceError("channel pruning needs at least one conv layer")
+    channel_keep = {c: np.ones(params[(c, ROLE_BN_SCALE)].size, dtype=bool) for c in convs}
+    owners = [(layer, idx) for layer, keep in channel_keep.items() for idx in range(keep.size)]
+    scales = np.abs(np.concatenate([params[(c, ROLE_BN_SCALE)] for c in convs]))
+    k = int(math.floor(fraction * scales.size / 100 + 1e-9))
+    remaining = {layer: keep.size for layer, keep in channel_keep.items()}
     pruned = 0
     for cand in np.argsort(scales, kind="stable"):
         if pruned >= k:

@@ -26,15 +26,14 @@ def tiny_dense_spec(in_features: int = 8, classes: int = 3) -> ModelSpec:
     )
 
 
-def random_small_spec(rng: np.random.Generator, force_bn: bool | None = None) -> ModelSpec:
+def random_small_spec(rng: np.random.Generator) -> ModelSpec:
     """A random spec exercising conv/BN/pool/relu/flatten/dense with < ~600 params."""
     c_in = int(rng.integers(1, 3))
     side = int(rng.choice([6, 8]))
     layers = []
     c1 = int(rng.integers(2, 4))
     k1 = int(rng.choice([2, 3]))
-    bn = bool(rng.integers(0, 2)) if force_bn is None else force_bn
-    layers.append(E.Conv(c_in, c1, k1, batch_norm=bn))
+    layers.append(E.Conv(c_in, c1, k1))
     h = side - k1 + 1
     if h % 2 == 0:
         layers.append(E.MaxPool(2))
@@ -42,7 +41,7 @@ def random_small_spec(rng: np.random.Generator, force_bn: bool | None = None) ->
     layers.append(E.Relu())
     if h >= 3 and rng.integers(0, 2):
         c2 = int(rng.integers(2, 4))
-        layers.append(E.Conv(c1, c2, 2, batch_norm=bool(rng.integers(0, 2))))
+        layers.append(E.Conv(c1, c2, 2))
         h -= 1
         c1 = c2
         layers.append(E.Relu())
@@ -239,9 +238,7 @@ def reference_eval_forward(spec: ModelSpec, params: ParamSet, batch: np.ndarray)
         if isinstance(desc, E.Conv):
             y, _ = reference_conv_forward(x, params[(name, E.ROLE_WEIGHT)],
                                           params[(name, E.ROLE_BIAS)])
-            if desc.batch_norm:
-                y, _ = reference_bn_forward(y, params, name, "eval")
-            x = y
+            x, _ = reference_bn_forward(y, params, name, "eval")
         elif isinstance(desc, E.MaxPool):
             x, _ = reference_pool_forward(x, desc.window)
         elif isinstance(desc, E.Relu):

@@ -138,14 +138,13 @@ class TestForward:
         assert not np.all(params[("conv1", "bn_running_mean")] == 0.0)
 
     def test_single_conv_hand_computation(self):
-        spec = ModelSpec("one", (1, 1, 1), (Conv(1, 1, 1), Flatten()))
-        params = init_params(spec, 0)
-        params[("conv1", "weight")][...] = 2.5
-        params[("conv1", "bias")][...] = 0.0
+        # the conv's own output, before its batch norm
+        w = np.full((1, 1, 1, 1), 2.5, dtype=np.float32)
+        b = np.full(1, 0.5, dtype=np.float32)
         x = np.array([[[[3.0]]]], dtype=np.float32)
-        logits, _ = forward(spec, params, x, "eval")
-        assert logits.shape == (1, 1)
-        assert logits[0, 0] == pytest.approx(2.5 * 3.0)
+        y, _ = E._conv_forward(x, w, b)
+        assert y.shape == (1, 1, 1, 1)
+        assert y[0, 0, 0, 0] == pytest.approx(2.5 * 3.0 + 0.5)
 
     def test_batch_shape_mismatch(self):
         spec = builtin_spec("synth-cnn")
@@ -573,31 +572,29 @@ BUILTIN_MODELS = ("cnn5-mnist", "lenet5-cifar", "synth-cnn")
 # or on its flattened view), and pools by windows of 3 and 1
 EDGE_SPECS = {
     "relu-first": ModelSpec("relu-first", (2, 6, 6), (
-        Relu(), Conv(2, 3, 3, batch_norm=True), MaxPool(2), Relu(), Flatten(), Dense(12, 4))),
+        Relu(), Conv(2, 3, 3), MaxPool(2), Relu(), Flatten(), Dense(12, 4))),
     "flatten-relu-dense": ModelSpec("flatten-relu-dense", (1, 3, 3), (
         Flatten(), Relu(), Dense(9, 4))),
     "pool3-first": ModelSpec("pool3-first", (1, 6, 6), (
-        MaxPool(3), Relu(), Conv(1, 2, 2, batch_norm=True), MaxPool(1), Relu(), Flatten(),
+        MaxPool(3), Relu(), Conv(1, 2, 2), MaxPool(1), Relu(), Flatten(),
         Dense(2, 3))),
     # layer outputs that feed a layer of their own kind, and logits that no
     # dense layer makes
     "conv-conv": ModelSpec("conv-conv", (2, 9, 9), (
-        Conv(2, 3, 3, batch_norm=True), Conv(3, 4, 2), Relu(), MaxPool(2), Relu(), Flatten(),
+        Conv(2, 3, 3), Conv(3, 4, 2), Relu(), MaxPool(2), Relu(), Flatten(),
         Dense(36, 5))),
     "pool-pool": ModelSpec("pool-pool", (1, 12, 12), (
-        MaxPool(2), MaxPool(3), Relu(), Conv(1, 3, 2, batch_norm=True), Relu(), Flatten(),
+        MaxPool(2), MaxPool(3), Relu(), Conv(1, 3, 2), Relu(), Flatten(),
         Dense(3, 4))),
     "no-dense": ModelSpec("no-dense", (1, 8, 8), (
-        Conv(1, 2, 3, batch_norm=True), MaxPool(2), Relu(), Flatten())),
+        Conv(1, 2, 3), MaxPool(2), Relu(), Flatten())),
 }
 
 
 SPECS = {
     **{name: builtin_spec(name) for name in BUILTIN_MODELS},
     **EDGE_SPECS,
-    **{f"random-{seed}": random_small_spec(np.random.default_rng(seed),
-                                           force_bn=True if seed % 2 else None)
-       for seed in range(6)},
+    **{f"random-{seed}": random_small_spec(np.random.default_rng(seed)) for seed in range(6)},
 }
 
 
@@ -1019,7 +1016,7 @@ class TestTruncatedBackward:
 
     SPECS = {
         "conv-first": ModelSpec("conv-first", (2, 6, 6), (
-            Conv(2, 3, 3, batch_norm=True), MaxPool(2), Relu(), Flatten(), Dense(12, 4))),
+            Conv(2, 3, 3), MaxPool(2), Relu(), Flatten(), Dense(12, 4))),
         "pool-before-conv": ModelSpec("pool-before-conv", (1, 8, 8), (
             MaxPool(2), Relu(), Conv(1, 2, 2), Relu(), Flatten(), Dense(18, 3))),
         "flatten-dense": ModelSpec("flatten-dense", (1, 3, 3), (
@@ -1133,7 +1130,7 @@ class TestBlasThreads:
         assert len(digests) == 1, digests
 
     def test_without_a_settable_blas_the_environment_must_pin_one_thread(self, monkeypatch):
-        monkeypatch.setattr(E, "_blas_thread_setter", lambda: None)
+        monkeypatch.setattr(E, "openblas_function", lambda stem: None)
         for var in E.BLAS_THREAD_VARS:
             monkeypatch.setenv(var, "1")
         E.pin_blas_threads()

@@ -68,16 +68,16 @@ def check_spec(spec: ModelSpec, seed: int, batch: int = 5, attempts: int = 6):
 def test_gradients_on_conv_bn_pool_dense_stack():
     spec = ModelSpec(
         "stack", (2, 6, 6),
-        (E.Conv(2, 3, 3, batch_norm=True), E.MaxPool(2), E.Relu(),
+        (E.Conv(2, 3, 3), E.MaxPool(2), E.Relu(),
          E.Flatten(), E.Dense(12, 4), E.Relu(), E.Dense(4, 3)),
     )
     check_spec(spec, seed=11)
 
 
-def test_gradients_without_bn():
+def test_gradients_on_conv_relu_dense_stack():
     spec = ModelSpec(
         "plain", (1, 6, 6),
-        (E.Conv(1, 2, 3, batch_norm=False), E.Relu(), E.Flatten(), E.Dense(32, 3)),
+        (E.Conv(1, 2, 3), E.Relu(), E.Flatten(), E.Dense(32, 3)),
     )
     check_spec(spec, seed=5)
 
@@ -89,9 +89,11 @@ def test_gradients_on_randomized_specs(seed):
 
 
 def test_exact_relu_kink_is_not_compared():
-    # an all-zero input makes every conv pre-activation equal its zero bias:
-    # the bias sits exactly on the ReLU kink, where central differences give
-    # half the slope and the analytic subgradient gives 0
+    # an all-zero input makes every conv output its zero bias, so the batch
+    # variance and xhat are 0 and every BN output equals its zero shift: the
+    # shift sits exactly on the ReLU kink, where central differences give
+    # half the slope and the analytic subgradient gives 0. BN cancels the
+    # conv bias, so a step of the bias moves no ReLU sign
     spec = ModelSpec(
         "kink", (1, 3, 3),
         (E.Conv(1, 1, 2), E.Relu(), E.Flatten(), E.Dense(4, 2)),
@@ -103,12 +105,12 @@ def test_exact_relu_kink_is_not_compared():
     _, cache = forward(spec, params, x, "train")
     _, grads = backward(cache, y)
     fd, smooth = finite_difference_grads(spec, params, x, y, h=1e-3)
-    bias = ("conv1", "bias")
-    assert not smooth[bias].any()
-    assert not np.allclose(grads[bias], fd[bias], rtol=1e-3, atol=1e-6)
+    shift = ("conv1", "bn_shift")
+    assert not smooth[shift].any()
+    assert not np.allclose(grads[shift], fd[shift], rtol=1e-3, atol=1e-6)
     compared = compare_smooth_entries(spec.name, grads, fd, smooth)
-    assert bias not in compared
-    assert ("fc1", "weight") in compared
+    assert shift not in compared
+    assert {("conv1", "bias"), ("fc1", "weight")} <= compared
 
 
 def test_scaled_gradient_is_caught(monkeypatch):
@@ -120,7 +122,7 @@ def test_scaled_gradient_is_caught(monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "backward", scaled_backward)
     spec = ModelSpec(
         "stack", (2, 6, 6),
-        (E.Conv(2, 3, 3, batch_norm=True), E.MaxPool(2), E.Relu(),
+        (E.Conv(2, 3, 3), E.MaxPool(2), E.Relu(),
          E.Flatten(), E.Dense(12, 4), E.Relu(), E.Dense(4, 3)),
     )
     with pytest.raises(AssertionError, match="gradient mismatch"):

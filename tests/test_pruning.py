@@ -29,12 +29,12 @@ def vector_params(values):
 
 
 def two_conv_params(scales1, scales2, seed=0):
-    """Two BN convs feeding each other plus a dense head, with chosen BN scales."""
+    """Two convs feeding each other plus a dense head, with chosen BN scales."""
     c1, c2 = len(scales1), len(scales2)
     spec = E.ModelSpec(
         "t", (1, 8, 8),
-        (E.Conv(1, c1, 3, batch_norm=True), E.Relu(),
-         E.Conv(c1, c2, 3, batch_norm=True), E.Relu(),
+        (E.Conv(1, c1, 3), E.Relu(),
+         E.Conv(c1, c2, 3), E.Relu(),
          E.Flatten(), E.Dense(c2 * 16, 3)),
     )
     params = init_params(spec, seed)
@@ -203,24 +203,19 @@ class TestChannel:
         assert not mask.bits[("conv2", "weight")][:, 1].any()
         assert mask.bits[("conv2", "weight")][:, 0].all()
 
-    def test_counts_and_prunes_only_bn_conv_channels(self):
-        spec = E.ModelSpec(
-            "t", (1, 8, 8),
-            (E.Conv(1, 4, 3, batch_norm=True), E.Relu(),
-             E.Conv(4, 6, 3), E.Relu(),
-             E.Flatten(), E.Dense(6 * 16, 3)),
-        )
-        params = init_params(spec, 0)
-        params[("conv1", "bn_scale")][...] = [0.9, 0.1, 0.5, 0.05]
-        params[("conv2", "weight")][...] = 1e-6  # the plain conv's filters are not ranked
-        mask = derive_channel_mask(params, 50)  # floor(0.5*4)=2 of the BN conv's 4 channels
-        assert mask.channel_keep["conv1"].tolist() == [True, False, True, False]
-        assert mask.channel_keep["conv2"].all()
-        assert mask.bits[("conv2", "bias")].all()
+    def test_every_conv_layer_is_batch_normalised_and_ranked(self):
+        # two_conv_params builds bare Conv layers: each carries its batch norm
+        _, params = two_conv_params([0.2, 0.1], [0.5, 0.05, 0.8])
+        for layer, channels in (("conv1", 2), ("conv2", 3)):
+            for role in ("bn_scale", "bn_shift", "bn_running_mean", "bn_running_var"):
+                assert params[(layer, role)].shape == (channels,)
+        mask = derive_channel_mask(params, 60)  # floor(3) of 5; conv1 keeps one channel
+        assert mask.channel_keep["conv1"].tolist() == [True, False]
+        assert mask.channel_keep["conv2"].tolist() == [False, False, True]
 
     def test_requires_a_bn_layer(self):
-        params = vector_params([1.0, 2.0])
-        with pytest.raises(MaskCongruenceError, match="BN"):
+        params = vector_params([1.0, 2.0])  # no conv layer, so no BN scale to rank
+        with pytest.raises(MaskCongruenceError, match="conv layer"):
             derive_channel_mask(params, 10)
 
 
