@@ -79,7 +79,7 @@ def environment_key() -> str:
     get_config = openblas_function("get_config")
     if get_config is None:
         return f"numpy {np.__version__}; no bundled OpenBLAS"
-    get_config.restype = ctypes.c_char_p
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
     return f"numpy {np.__version__}; {get_config().decode()}"
 
 
